@@ -1,6 +1,7 @@
 #include "amg/cache.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "amg/charges.hpp"
@@ -9,6 +10,37 @@
 #include "perf/purity.hpp"
 
 namespace exw::amg {
+
+namespace {
+
+/// Copy a fine rank block's values into the pre-sized `flat` as
+/// [diag vals | offd vals]: the layout of both the replay gather and the
+/// reuse snapshot.
+void gather_flat(const linalg::RankBlock& blk, RealVector& flat) {
+  const auto dspan = blk.diag.vals().raw();
+  const auto ospan = blk.offd.vals().raw();
+  EXW_REQUIRE(dspan.size() + ospan.size() == flat.size(),
+              "amg hierarchy cache: fine-level structure changed");
+  std::copy(dspan.begin(), dspan.end(), flat.begin());
+  std::copy(ospan.begin(), ospan.end(),
+            flat.begin() + static_cast<std::ptrdiff_t>(dspan.size()));
+}
+
+/// Bitwise equality of a rank block's values with a gather_flat copy
+/// (memcmp: -0.0 != 0.0, NaN payloads compare by bits), so a match means a
+/// refresh would be a no-op.
+bool equals_flat(const linalg::RankBlock& blk, const RealVector& flat) {
+  const auto dspan = blk.diag.vals().raw();
+  const auto ospan = blk.offd.vals().raw();
+  auto same = [](const Real* a, const Real* b, std::size_t n) {
+    return n == 0 || std::memcmp(a, b, n * sizeof(Real)) == 0;
+  };
+  return dspan.size() + ospan.size() == flat.size() &&
+         same(dspan.data(), flat.data(), dspan.size()) &&
+         same(ospan.data(), flat.data() + dspan.size(), ospan.size());
+}
+
+}  // namespace
 
 std::unique_ptr<LevelReplay> freeze_level_replay(
     par::Runtime& rt, RapRecord&& record, const par::RowPartition& coarse) {
@@ -62,11 +94,7 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
       sc.a_flat.resize(rec.a_diag_nnz + rec.a_offd_nnz);
       sc.ap_vals.resize(rec.ap.outputs());
     }
-    const auto dspan = blk.diag.vals().raw();
-    const auto ospan = blk.offd.vals().raw();
-    std::copy(dspan.begin(), dspan.end(), sc.a_flat.begin());
-    std::copy(ospan.begin(), ospan.end(),
-              sc.a_flat.begin() + static_cast<std::ptrdiff_t>(rec.a_diag_nnz));
+    gather_flat(blk, sc.a_flat);
     detail::charge_value_stream(tracer, r, sc.a_flat.size());
 
     // AP, then the coarse triples, through the frozen term plans.
@@ -86,6 +114,26 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
   lr.plan.refill_matrix(rt, lr.views, coarse_a);
 }
 
+CacheAction HierarchyCache::update(const linalg::ParCsr& a,
+                                   const AmgConfig& cfg,
+                                   std::uint64_t generation,
+                                   int rebuild_lag, double stagnation_ratio) {
+  if (stale(generation, cfg)) {
+    rebuild(a, cfg, generation, /*freeze=*/true);
+    return CacheAction::kRebuild;
+  }
+  if (matches(a)) {
+    ++reuses_;
+    return CacheAction::kReuse;
+  }
+  if (solves_since_rebuild_ >= rebuild_lag || stagnating(stagnation_ratio)) {
+    rebuild(a, cfg, generation, /*freeze=*/true);
+    return CacheAction::kRebuild;
+  }
+  refresh(a);
+  return CacheAction::kRefresh;
+}
+
 void HierarchyCache::rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
                              std::uint64_t generation, bool freeze) {
   hierarchy_ = std::make_unique<AmgHierarchy>(a, cfg, freeze);
@@ -96,14 +144,56 @@ void HierarchyCache::rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
   solves_since_rebuild_ = 0;
   baseline_iters_ = -1;
   last_iters_ = -1;
+
+  snapshot_.clear();
+  mismatch_.clear();
+  if (freeze) {
+    const auto nranks = static_cast<std::size_t>(a.nranks());
+    snapshot_.resize(nranks);
+    mismatch_.assign(nranks, GlobalIndex{0});
+    for (RankId r{0}; r.value() < a.nranks(); ++r) {
+      const linalg::RankBlock& blk = a.block(r);
+      snapshot_[static_cast<std::size_t>(r)].resize(blk.diag.nnz() +
+                                                    blk.offd.nnz());
+    }
+    store_snapshot(a);
+  }
 }
 
 EXW_WARM_FN
 void HierarchyCache::refresh(const linalg::ParCsr& a) {
+  EXW_PURITY_REGION("amg-cache-refresh");
   EXW_REQUIRE(valid_ && hierarchy_ != nullptr,
               "hierarchy cache: refresh without a valid rebuild");
   hierarchy_->refresh_values(a);
+  store_snapshot(a);
   ++refreshes_;
+}
+
+EXW_WARM_FN
+bool HierarchyCache::matches(const linalg::ParCsr& a) {
+  EXW_PURITY_REGION("amg-reuse-check");
+  if (!valid_ || snapshot_.size() != static_cast<std::size_t>(a.nranks())) {
+    return false;
+  }
+  par::Runtime& rt = a.runtime();
+  perf::Tracer& tracer = rt.tracer();
+  rt.parallel_for_ranks([&](RankId r) {
+    const auto ri = static_cast<std::size_t>(r);
+    const RealVector& snap = snapshot_[ri];
+    mismatch_[ri] = GlobalIndex{equals_flat(a.block(r), snap) ? 0 : 1};
+    // Reads the live values and the snapshot: one value stream's bytes.
+    detail::charge_value_stream(tracer, r, snap.size());
+  });
+  return rt.allreduce_max(mismatch_) == GlobalIndex{0};
+}
+
+void HierarchyCache::store_snapshot(const linalg::ParCsr& a) {
+  a.runtime().parallel_for_ranks([&](RankId r) {
+    RealVector& snap = snapshot_[static_cast<std::size_t>(r)];
+    gather_flat(a.block(r), snap);
+    detail::charge_value_stream(a.runtime().tracer(), r, snap.size());
+  });
 }
 
 void HierarchyCache::note_solve(int iterations) {

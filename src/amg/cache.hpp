@@ -17,9 +17,11 @@
 /// half of the algorithmic-scalability program of "Alya towards Exascale"
 /// (PAPERS.md) applied to our §4 pressure solve.
 ///
-/// What is frozen vs refilled per level is documented in DESIGN.md §12;
-/// the drift policy (refresh lag, stagnation rebuilds) lives in
-/// cfd::Simulation and is keyed through HierarchyCache below.
+/// What is frozen vs refilled per level is documented in DESIGN.md §12,
+/// together with the update rule HierarchyCache::update applies: reuse
+/// the hierarchy untouched while the fine values are bitwise unchanged,
+/// otherwise rebuild or refresh under the drift policy (refresh lag,
+/// stagnation rebuilds).
 
 #include <cstdint>
 #include <memory>
@@ -67,9 +69,13 @@ std::unique_ptr<LevelReplay> freeze_level_replay(par::Runtime& rt,
 void replay_level(par::Runtime& rt, LevelReplay& lr,
                   const linalg::ParCsr& fine_a, linalg::ParCsr& coarse_a);
 
+/// What HierarchyCache::update did to bring the hierarchy up to date.
+enum class CacheAction { kReuse, kRefresh, kRebuild };
+
 /// Pressure-preconditioner cache: one AmgHierarchy kept across Picard
-/// solves, keyed on (equation-graph generation, AmgConfig), with rebuild
-/// vs refresh bookkeeping for the drift policy and the solver stats.
+/// solves, keyed on (equation-graph generation, AmgConfig), with reuse /
+/// refresh / rebuild bookkeeping for the drift policy and the solver
+/// stats.
 class HierarchyCache {
  public:
   bool valid() const { return valid_; }
@@ -79,6 +85,7 @@ class HierarchyCache {
 
   long rebuilds() const { return rebuilds_; }
   long refreshes() const { return refreshes_; }
+  long reuses() const { return reuses_; }
   int solves_since_rebuild() const { return solves_since_rebuild_; }
 
   /// True when the key no longer matches (invalid cache, new graph
@@ -87,14 +94,34 @@ class HierarchyCache {
     return !valid_ || generation_ != generation || !(cfg_ == cfg);
   }
 
+  /// Bring the hierarchy up to date with `a`, checked in this order:
+  ///   * stale key -> rebuild;
+  ///   * values bitwise equal to the last rebuild/refresh (matches) ->
+  ///     reuse, touching nothing — a rebuild or refresh from identical
+  ///     values would reproduce the same hierarchy bitwise;
+  ///   * drift policy: `rebuild_lag` solves ran since the last rebuild,
+  ///     or stagnating(`stagnation_ratio`) -> rebuild;
+  ///   * otherwise -> value-only refresh.
+  /// Rebuilds always freeze, so later solves can refresh.
+  CacheAction update(const linalg::ParCsr& a, const AmgConfig& cfg,
+                     std::uint64_t generation, int rebuild_lag,
+                     double stagnation_ratio);
+
   /// Structural rebuild from `a`. `freeze` additionally records the
-  /// replay plans so later solves can refresh() instead.
+  /// replay plans so later solves can refresh() instead, and snapshots
+  /// the fine values for matches().
   void rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
                std::uint64_t generation, bool freeze);
 
   /// Value-only refresh; requires a frozen, valid hierarchy with an
   /// unchanged fine structure (throws exw::Error otherwise).
   void refresh(const linalg::ParCsr& a);
+
+  /// True when `a`'s FP64 diag|offd values are bitwise equal to those the
+  /// frozen hierarchy was last rebuilt or refreshed from. One value-stream
+  /// read per rank plus a one-word allreduce so every rank takes the same
+  /// branch; allocation-free. Does not check the key (see stale()).
+  bool matches(const linalg::ParCsr& a);
 
   void invalidate() { valid_ = false; }
 
@@ -115,9 +142,19 @@ class HierarchyCache {
   bool valid_ = false;
   long rebuilds_ = 0;
   long refreshes_ = 0;
+  long reuses_ = 0;
   int solves_since_rebuild_ = 0;
   int baseline_iters_ = -1;
   int last_iters_ = -1;
+  /// Per-rank [diag | offd] FP64 values of the last rebuild/refresh; sized
+  /// by a freezing rebuild, empty otherwise (matches() is then false).
+  std::vector<RealVector> snapshot_;
+  /// Per-rank mismatch flags reduced by matches(), sized with snapshot_.
+  std::vector<GlobalIndex> mismatch_;
+
+  /// Copy `a`'s values into the already-sized snapshot (one value stream
+  /// per rank).
+  void store_snapshot(const linalg::ParCsr& a);
 };
 
 }  // namespace exw::amg

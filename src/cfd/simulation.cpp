@@ -506,10 +506,10 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     a.matvec(p_old_vec, rhs, 1.0, 1.0);
   }
 
-  // Preconditioner: structural AMG setup only when the hierarchy cache is
-  // off, stale (graph generation or AmgConfig changed), past the refresh
-  // lag, or stagnating; otherwise a value-only refresh of the frozen
-  // hierarchy (amg/cache.hpp).
+  // Preconditioner: with the hierarchy cache off, structural AMG setup
+  // every solve; otherwise the cache reuses the hierarchy while the values
+  // are unchanged and rebuilds or refreshes it under the drift policy
+  // once they change (amg/cache.hpp).
   amg::HierarchyCache& pc = blk.prs_precond;
   {
     perf::PhaseScope ph(tracer, "setup");
@@ -518,17 +518,16 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     amg::AmgConfig acfg = cfg_.pressure_amg;
     acfg.precision = cfg_.precond_precision;
     const std::uint64_t gen = blk.prs_graph->generation();
-    const bool must_rebuild =
-        !cfg_.use_amg_cache || pc.stale(gen, acfg) ||
-        pc.solves_since_rebuild() >= cfg_.amg_rebuild_lag ||
-        pc.stagnating(cfg_.amg_stagnation_ratio);
-    if (must_rebuild) {
-      pc.rebuild(a, acfg, gen, /*freeze=*/cfg_.use_amg_cache);
+    if (!cfg_.use_amg_cache) {
+      pc.rebuild(a, acfg, gen, /*freeze=*/false);
       prs_stats_.amg_rebuilds += 1;
     } else {
-      EXW_PURITY_REGION("picard-amg-refresh");
-      pc.refresh(a);
-      prs_stats_.amg_refreshes += 1;
+      switch (pc.update(a, acfg, gen, cfg_.amg_rebuild_lag,
+                        cfg_.amg_stagnation_ratio)) {
+        case amg::CacheAction::kReuse: prs_stats_.amg_reuses += 1; break;
+        case amg::CacheAction::kRefresh: prs_stats_.amg_refreshes += 1; break;
+        case amg::CacheAction::kRebuild: prs_stats_.amg_rebuilds += 1; break;
+      }
     }
   }
   solver::AmgPrecond precond(pc.hierarchy());

@@ -41,8 +41,8 @@
 namespace exw::cfd {
 
 /// Solver statistics of the last time step, per equation: counters
-/// (solves, iterations, rebuilds/refreshes) accumulate over all Picard
-/// iterations and mesh blocks of the step — a 3-Picard step reports
+/// (solves, iterations, rebuilds/refreshes/reuses) accumulate over all
+/// Picard iterations and mesh blocks of the step — a 3-Picard step reports
 /// solves == 3 per single-mesh equation — while final_residual and the
 /// AMG shape fields reflect the step's last solve.
 struct EquationStats {
@@ -53,6 +53,7 @@ struct EquationStats {
   double amg_operator_complexity = 0;
   int amg_rebuilds = 0;   ///< structural AMG setups this step
   int amg_refreshes = 0;  ///< value-only hierarchy refreshes this step
+  int amg_reuses = 0;  ///< solves on the hierarchy untouched (same values)
   int smoother_rebuilds = 0;  ///< SGS2 L/D/U splits built this step
   int smoother_rebinds = 0;   ///< value-only smoother rebinds this step
 };

@@ -1,7 +1,7 @@
 // Tests for the AMG hierarchy cache: frozen SpGEMM replay plans, the
 // value-only refresh of a frozen hierarchy (bitwise against rebuilds and
 // against cold Galerkin products), stale-structure detection, and the
-// HierarchyCache rebuild/refresh bookkeeping behind the drift policy.
+// HierarchyCache reuse/refresh/rebuild rule behind the drift policy.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -224,6 +224,69 @@ TEST(HierarchyCache, CountsSolvesAndDetectsStagnation) {
   EXPECT_EQ(cache.rebuilds(), 2);
   EXPECT_EQ(cache.solves_since_rebuild(), 0);
   EXPECT_FALSE(cache.stagnating(1.5));
+}
+
+TEST(HierarchyCache, UpdateReusesUnchangedValuesAndRefreshesChangedOnes) {
+  // The update rule: stale key -> rebuild; bitwise-unchanged values ->
+  // reuse (no rebuild, no refresh); changed values -> refresh, unless the
+  // lag or the stagnation policy asks for a rebuild.
+  par::Runtime rt(4);
+  const auto a0 = distribute(rt, laplace3d(6, 0.0));
+  const auto a1 = distribute(rt, laplace3d(6, 0.1));
+  const auto a0_copy = distribute(rt, laplace3d(6, 0.0));
+  AmgConfig cfg;
+  const int lag = 3;
+  const double ratio = 1.5;
+  HierarchyCache cache;
+
+  EXPECT_EQ(cache.update(a0, cfg, 1, lag, ratio), CacheAction::kRebuild);
+  EXPECT_TRUE(cache.hierarchy().frozen());
+  cache.note_solve(10);
+  // Equal values in a different matrix object still match.
+  EXPECT_TRUE(cache.matches(a0_copy));
+  EXPECT_FALSE(cache.matches(a1));
+  EXPECT_EQ(cache.update(a0_copy, cfg, 1, lag, ratio), CacheAction::kReuse);
+  cache.note_solve(10);
+  EXPECT_EQ(cache.update(a1, cfg, 1, lag, ratio), CacheAction::kRefresh);
+  cache.note_solve(10);
+  // The refresh moved the snapshot: a1 now reuses, a0 no longer matches.
+  EXPECT_TRUE(cache.matches(a1));
+  EXPECT_FALSE(cache.matches(a0));
+  EXPECT_EQ(cache.update(a1, cfg, 1, lag, ratio), CacheAction::kReuse);
+  EXPECT_EQ(cache.rebuilds(), 1);
+  EXPECT_EQ(cache.refreshes(), 1);
+  EXPECT_EQ(cache.reuses(), 2);
+
+  // Lag: three solves ran since the rebuild, so changed values rebuild.
+  EXPECT_EQ(cache.solves_since_rebuild(), 3);
+  EXPECT_EQ(cache.update(a0, cfg, 1, lag, ratio), CacheAction::kRebuild);
+
+  // Stagnation: iterations past 1.5x the post-rebuild baseline rebuild
+  // on the next value change, but reuse still wins while values match.
+  cache.note_solve(10);
+  cache.note_solve(16);
+  ASSERT_TRUE(cache.stagnating(ratio));
+  EXPECT_EQ(cache.update(a0, cfg, 1, lag, ratio), CacheAction::kReuse);
+  EXPECT_EQ(cache.update(a1, cfg, 1, lag, ratio), CacheAction::kRebuild);
+
+  // A stale key rebuilds even when the values match.
+  EXPECT_EQ(cache.update(a1, cfg, 2, lag, ratio), CacheAction::kRebuild);
+  AmgConfig other = cfg;
+  other.strong_threshold = 0.5;
+  EXPECT_EQ(cache.update(a1, other, 2, lag, ratio), CacheAction::kRebuild);
+  EXPECT_EQ(cache.rebuilds(), 5);
+  EXPECT_EQ(cache.refreshes(), 1);
+  EXPECT_EQ(cache.reuses(), 3);
+}
+
+TEST(HierarchyCache, UnfrozenRebuildNeverMatches) {
+  par::Runtime rt(2);
+  const auto a = distribute(rt, laplace3d(6, 0.0));
+  AmgConfig cfg;
+  HierarchyCache cache;
+  EXPECT_FALSE(cache.matches(a));  // nothing cached yet
+  cache.rebuild(a, cfg, 1, /*freeze=*/false);
+  EXPECT_FALSE(cache.matches(a));
 }
 
 TEST(HierarchyCache, RefreshWithoutFreezeThrows) {

@@ -2,9 +2,9 @@
 // region/allow scoping and attribution, fatal-mode diagnostics naming the
 // region and its open site, propagation through par::ThreadPool workers,
 // and the zero-allocation steady-state contract of every warm cache
-// (assembly-plan refill, AMG value refresh, smoother rebind, fused
-// momentum kernels). Everything must also compile and pass — vacuously —
-// when EXW_PURITY_CHECKS=OFF.
+// (assembly-plan refill, AMG value refresh and reuse check, smoother
+// rebind, fused momentum kernels). Everything must also compile and
+// pass — vacuously — when EXW_PURITY_CHECKS=OFF.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "amg/cache.hpp"
 #include "amg/hierarchy.hpp"
 #include "assembly/graph.hpp"
 #include "assembly/layout.hpp"
@@ -287,6 +288,23 @@ TEST(PurityWarmPath, AmgValueRefreshIsAllocationPure) {
   h.refresh_values(a0);
   EXPECT_EQ(purity::region("amg-refresh").allocs, 0);
   EXPECT_EQ(purity::region("amg-replay-level").allocs, 0);
+}
+
+TEST(PurityWarmPath, AmgReuseCheckIsAllocationPure) {
+  using namespace amg;
+  par::Runtime rt(4);
+  const auto a0 = distribute(rt, laplace3d(8, 0.0));
+  const auto a1 = distribute(rt, laplace3d(8, 0.5));
+  HierarchyCache cache;
+  cache.rebuild(a0, AmgConfig{}, 1, /*freeze=*/true);
+
+  purity::reset();
+  FatalModeGuard guard;
+  purity::set_fatal(true);
+  EXPECT_TRUE(cache.matches(a0));
+  EXPECT_FALSE(cache.matches(a1));
+  EXPECT_GT(purity::region("amg-reuse-check").entries, 0);
+  EXPECT_EQ(purity::region("amg-reuse-check").allocs, 0);
 }
 
 TEST(PurityWarmPath, SmootherRebindIsAllocationPure) {
