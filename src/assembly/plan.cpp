@@ -124,6 +124,8 @@ AssemblyPlan AssemblyPlan::build(par::Runtime& rt,
     p.rhs_recvs = recv_runs(r, rhs_sends_all);
     p.n_recv = p.mat_recvs.empty() ? 0 : p.mat_recvs.back().end;
     p.rhs_n_recv = p.rhs_recvs.empty() ? 0 : p.rhs_recvs.back().end;
+    p.stacked.assign(p.n_own + p.n_recv, 0.0);
+    p.rhs_recv.assign(p.rhs_n_recv, 0.0);
   }
 
   // Per-rank structural pass (the expensive half a cold assembly pays
@@ -273,14 +275,10 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
     const std::size_t n_shared = p.mat_sends.empty() ? 0 : p.mat_sends.back().end;
     EXW_REQUIRE(sh.nnz() == n_shared,
                 "assembly plan is stale: shared triple count changed");
-    // The payload vector is the message being serialized — it belongs to
-    // the simulated NIC, like the staging inside Transport::send itself.
-    EXW_PURITY_ALLOW("simulated-NIC message serialization");
     for (const auto& s : p.mat_sends) {
       transport.send(
           r, s.peer, tags::kPlanMatVals,
-          std::vector<Real>(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin),
-                            sh.vals.begin() + static_cast<std::ptrdiff_t>(s.end)));
+          std::span<const Real>(sh.vals).subspan(s.begin, s.end - s.begin));
       charge_stream(tracer, r, s.end - s.begin, sizeof(Real));
     }
   });
@@ -291,17 +289,12 @@ void AssemblyPlan::refill_matrix(par::Runtime& rt,
     const auto& own = *systems[static_cast<std::size_t>(r)].owned;
     EXW_REQUIRE(own.nnz() == p.n_own,
                 "assembly plan is stale: owned triple count changed");
-    {
-      EXW_PURITY_ALLOW("first-refill scratch priming");
-      p.stacked.resize(p.n_own + p.n_recv);  // no-op after the first refill
-    }
     std::copy(own.vals.begin(), own.vals.end(), p.stacked.begin());
     for (const auto& s : p.mat_recvs) {
-      auto vals = transport.recv<Real>(r, s.peer, tags::kPlanMatVals);
-      EXW_REQUIRE(vals.size() == s.end - s.begin,
-                  "assembly plan is stale: received triple count changed");
-      std::copy(vals.begin(), vals.end(),
-                p.stacked.begin() + static_cast<std::ptrdiff_t>(p.n_own + s.begin));
+      transport.recv_into(
+          r, s.peer, tags::kPlanMatVals,
+          std::span<Real>(p.stacked).subspan(p.n_own + s.begin,
+                                             s.end - s.begin));
     }
     charge_stream(tracer, r, p.stacked.size(), sizeof(Real));
     a.set_values_from_plan(r, p.mat_fill, p.stacked);
@@ -324,12 +317,10 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
     const std::size_t n_shared = p.rhs_sends.empty() ? 0 : p.rhs_sends.back().end;
     EXW_REQUIRE(sh.size() == n_shared,
                 "assembly plan is stale: shared RHS count changed");
-    EXW_PURITY_ALLOW("simulated-NIC message serialization");
     for (const auto& s : p.rhs_sends) {
       transport.send(
           r, s.peer, tags::kPlanRhsVals,
-          std::vector<Real>(sh.vals.begin() + static_cast<std::ptrdiff_t>(s.begin),
-                            sh.vals.begin() + static_cast<std::ptrdiff_t>(s.end)));
+          std::span<const Real>(sh.vals).subspan(s.begin, s.end - s.begin));
       charge_stream(tracer, r, s.end - s.begin, sizeof(Real));
     }
   });
@@ -339,16 +330,10 @@ void AssemblyPlan::refill_vector(par::Runtime& rt,
     const auto& own = *systems[static_cast<std::size_t>(r)].rhs_owned;
     EXW_REQUIRE(own.size() == p.rhs_n_own,
                 "assembly plan is stale: owned RHS size changed");
-    {
-      EXW_PURITY_ALLOW("first-refill scratch priming");
-      p.rhs_recv.resize(p.rhs_n_recv);  // no-op after the first refill
-    }
     for (const auto& s : p.rhs_recvs) {
-      auto vals = transport.recv<Real>(r, s.peer, tags::kPlanRhsVals);
-      EXW_REQUIRE(vals.size() == s.end - s.begin,
-                  "assembly plan is stale: received RHS count changed");
-      std::copy(vals.begin(), vals.end(),
-                p.rhs_recv.begin() + static_cast<std::ptrdiff_t>(s.begin));
+      transport.recv_into(
+          r, s.peer, tags::kPlanRhsVals,
+          std::span<Real>(p.rhs_recv).subspan(s.begin, s.end - s.begin));
     }
     b.set_values_from_plan(r, own, p.rhs_fill, p.rhs_recv);
   });

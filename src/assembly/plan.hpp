@@ -79,11 +79,10 @@ class AssemblyPlan {
     std::size_t rhs_n_own = 0;  ///< local rows (dense owned RHS)
     std::size_t rhs_n_recv = 0;
     linalg::VectorFillPlan rhs_fill;
-    // Warm-path scratch, sized on first refill and reused afterwards
-    // (capacity never shrinks, so steady-state refills do not allocate).
-    // Mutable because refills are const operations on the plan; each
-    // rank's body touches only its own RankPlan, per the threading
-    // contract.
+    // Warm-path scratch, sized at build: refills receive straight into
+    // it, so they never allocate. Mutable because refills are const
+    // operations on the plan; each rank's body touches only its own
+    // RankPlan, per the threading contract.
     mutable RealVector stacked;
     mutable RealVector rhs_recv;
   };

@@ -14,6 +14,41 @@ namespace exw::linalg {
 // compile-checked against every other subsystem.
 namespace tags = par::tags;
 
+namespace {
+
+/// Per-thread staging for halo payloads that are not contiguous in the
+/// caller's memory (gathered sends, float wire buffers, lane-major
+/// multi-vector planes). Transport::send copies a span into its channel
+/// before returning and recv_into fills it before the caller reads it,
+/// so one buffer per thread and element type serves every message of
+/// every matrix: it grows to the largest payload once, then is reused.
+template <typename T>
+std::span<T> scratch(std::size_t n) {
+  thread_local std::vector<T> buf;
+  if (buf.size() < n) buf.resize(n);
+  return {buf.data(), n};
+}
+
+/// Run fn.template operator()<T>() with T the wire element type of
+/// `p`-tagged values: float for FP32 storage, Real otherwise.
+template <typename Fn>
+void with_wire_type(Precision p, Fn&& fn) {
+  if (p == Precision::kF32) {
+    fn.template operator()<float>();
+  } else {
+    fn.template operator()<Real>();
+  }
+}
+
+/// One pack kernel: read and write `n` values of precision `p`.
+void charge_pack(perf::Tracer& tracer, RankId r, Precision p, std::size_t n) {
+  double f64 = 0, f32 = 0;
+  split_value_bytes(p, 2.0 * bytes_of(p) * static_cast<double>(n), f64, f32);
+  tracer.kernel_split_prec(r, 0.0, f64, f32, 0.0);
+}
+
+}  // namespace
+
 ParCsr::ParCsr(par::Runtime& rt, par::RowPartition rows,
                par::RowPartition cols, std::vector<RankBlock> blocks)
     : rt_(&rt), rows_(std::move(rows)), cols_(std::move(cols)),
@@ -227,47 +262,40 @@ std::vector<RealVector> ParCsr::halo_exchange(const ParVector& x) const {
   // FP32-tagged vectors ship their halos as float: lossless (stores
   // round through float, so every held value is FP32-representable) and
   // the Transport's sizeof(T)-based message charge halves by itself.
-  const bool f32 = x.value_precision() == Precision::kF32;
+  const Precision wire = x.value_precision();
   // Pack + send owned values requested by neighbors.
   rt_->parallel_for_ranks([&](RankId r) {
+    const auto& xl = x.local(r);
     for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
-      const auto& xl = x.local(r);
-      const double pack_bytes =
-          2.0 * bytes_of(x.value_precision()) *
-          static_cast<double>(send.idx.size());
-      if (f32) {
-        std::vector<float> buf(send.idx.size());
-        for (std::size_t i = 0; i < send.idx.size(); ++i) {
-          buf[i] =
-              static_cast<float>(xl[static_cast<std::size_t>(send.idx[i])]);
+      with_wire_type(wire, [&]<typename T>() {
+        const auto buf = scratch<T>(send.idx.size());
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+          buf[i] = static_cast<T>(xl[static_cast<std::size_t>(send.idx[i])]);
         }
-        rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      } else {
-        RealVector buf(send.idx.size());
-        for (std::size_t i = 0; i < send.idx.size(); ++i) {
-          buf[i] = xl[static_cast<std::size_t>(send.idx[i])];
-        }
-        rt_->tracer().kernel(r, 0.0, pack_bytes);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      }
+        charge_pack(rt_->tracer(), r, wire, buf.size());
+        transport.send(r, send.dst, tags::kHaloValues,
+                       std::span<const T>(buf));
+      });
     }
   });
-  // Receive in col_map order (all sends completed at the region barrier).
+  // Receive in col_map order (all sends completed at the region barrier):
+  // FP64 payloads land directly at their offset in the ghost buffer.
   std::vector<RealVector> ext(static_cast<std::size_t>(nranks));
   rt_->parallel_for_ranks([&](RankId r) {
     auto& e = ext[static_cast<std::size_t>(r)];
-    e.reserve(blocks_[static_cast<std::size_t>(r)].col_map.size());
+    e.resize(blocks_[static_cast<std::size_t>(r)].col_map.size());
+    std::size_t offset = 0;
     for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      if (f32) {
-        auto buf = transport.recv<float>(r, recv.src, tags::kHaloValues);
-        EXW_ASSERT(checked_narrow<LocalIndex>(buf.size()) == recv.count);
-        e.insert(e.end(), buf.begin(), buf.end());  // exact promotion
+      const std::span<Real> ghost(e.data() + offset,
+                                  static_cast<std::size_t>(recv.count));
+      if (wire == Precision::kF32) {
+        const auto buf = scratch<float>(ghost.size());
+        transport.recv_into(r, recv.src, tags::kHaloValues, buf);
+        std::copy(buf.begin(), buf.end(), ghost.begin());  // exact promotion
       } else {
-        auto buf = transport.recv<Real>(r, recv.src, tags::kHaloValues);
-        EXW_ASSERT(checked_narrow<LocalIndex>(buf.size()) == recv.count);
-        e.insert(e.end(), buf.begin(), buf.end());
+        transport.recv_into(r, recv.src, tags::kHaloValues, ghost);
       }
+      offset += ghost.size();
     }
   });
   return ext;
@@ -315,39 +343,27 @@ std::vector<RealVector> ParCsr::halo_exchange_multi(
   auto& transport = rt_->transport();
   const int nranks = rows_.nranks();
   const std::size_t lanes = x.ncomp();
-  const bool f32 = x.value_precision() == Precision::kF32;
+  const Precision wire = x.value_precision();
   // Pack every lane's requested values into one buffer per neighbor,
   // lane-major, so the per-message latency is paid once for all lanes.
   // FP32-tagged multivectors ship float payloads (lossless, see
   // halo_exchange).
   rt_->parallel_for_ranks([&](RankId r) {
     for (const auto& send : comm_.sends[static_cast<std::size_t>(r)]) {
-      const double pack_bytes =
-          2.0 * bytes_of(x.value_precision()) *
-          static_cast<double>(lanes * send.idx.size());
-      if (f32) {
-        std::vector<float> buf(lanes * send.idx.size());
+      const std::size_t n = send.idx.size();
+      with_wire_type(wire, [&]<typename T>() {
+        const auto buf = scratch<T>(lanes * n);
         for (std::size_t l = 0; l < lanes; ++l) {
           const auto xl = x.lane_span(r, l);
-          for (std::size_t i = 0; i < send.idx.size(); ++i) {
-            buf[l * send.idx.size() + i] = static_cast<float>(
-                xl[static_cast<std::size_t>(send.idx[i])]);
+          for (std::size_t i = 0; i < n; ++i) {
+            buf[l * n + i] =
+                static_cast<T>(xl[static_cast<std::size_t>(send.idx[i])]);
           }
         }
-        rt_->tracer().kernel_split_prec(r, 0.0, 0.0, pack_bytes, 0.0);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      } else {
-        RealVector buf(lanes * send.idx.size());
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const auto xl = x.lane_span(r, l);
-          for (std::size_t i = 0; i < send.idx.size(); ++i) {
-            buf[l * send.idx.size() + i] =
-                xl[static_cast<std::size_t>(send.idx[i])];
-          }
-        }
-        rt_->tracer().kernel(r, 0.0, pack_bytes);
-        transport.send(r, send.dst, tags::kHaloValues, std::move(buf));
-      }
+        charge_pack(rt_->tracer(), r, wire, buf.size());
+        transport.send(r, send.dst, tags::kHaloValues,
+                       std::span<const T>(buf));
+      });
     }
   });
   // Receive in col_map order; lane c's halo values land in the plane
@@ -360,21 +376,17 @@ std::vector<RealVector> ParCsr::halo_exchange_multi(
     e.assign(lanes * m, 0.0);
     std::size_t offset = 0;
     for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      const auto scatter = [&](const auto& buf) {
-        const auto count = static_cast<std::size_t>(recv.count);
-        EXW_ASSERT(buf.size() == lanes * count);
+      const auto count = static_cast<std::size_t>(recv.count);
+      with_wire_type(wire, [&]<typename T>() {
+        const auto buf = scratch<T>(lanes * count);
+        transport.recv_into(r, recv.src, tags::kHaloValues, buf);
         for (std::size_t l = 0; l < lanes; ++l) {
           std::copy(buf.begin() + static_cast<std::ptrdiff_t>(l * count),
                     buf.begin() + static_cast<std::ptrdiff_t>((l + 1) * count),
                     e.begin() + static_cast<std::ptrdiff_t>(l * m + offset));
         }
-        offset += count;
-      };
-      if (f32) {
-        scatter(transport.recv<float>(r, recv.src, tags::kHaloValues));
-      } else {
-        scatter(transport.recv<Real>(r, recv.src, tags::kHaloValues));
-      }
+      });
+      offset += count;
     }
   });
   return ext;
@@ -460,48 +472,42 @@ void ParCsr::matvec_transpose(const ParVector& x, ParVector& y, Real alpha,
   // restriction in the mixed hierarchy) ships float contributions — the
   // rounding a real FP32 MPI buffer applies; deterministic because the
   // partition is fixed.
-  const bool f32_wire = prec_ == Precision::kF32;
+  const Precision wire = prec_;
   rt_->parallel_for_ranks([&](RankId r) {
     std::size_t offset = 0;
     const auto& contrib = offd_contrib[static_cast<std::size_t>(r)];
     for (const auto& recv : comm_.recvs[static_cast<std::size_t>(r)]) {
-      const auto count = static_cast<std::size_t>(recv.count);
-      if (f32_wire) {
-        std::vector<float> buf(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          buf[i] = static_cast<float>(contrib[offset + i]);
-        }
-        transport.send(r, recv.src, tags::kHaloValues, std::move(buf));
+      const std::span<const Real> part(contrib.data() + offset,
+                                       static_cast<std::size_t>(recv.count));
+      if (wire == Precision::kF32) {
+        const auto buf = scratch<float>(part.size());
+        std::transform(part.begin(), part.end(), buf.begin(),
+                       [](Real v) { return static_cast<float>(v); });
+        transport.send(r, recv.src, tags::kHaloValues,
+                       std::span<const float>(buf));
       } else {
-        RealVector buf(contrib.begin() + static_cast<std::ptrdiff_t>(offset),
-                       contrib.begin() +
-                           static_cast<std::ptrdiff_t>(offset + count));
-        transport.send(r, recv.src, tags::kHaloValues, std::move(buf));
+        transport.send(r, recv.src, tags::kHaloValues, part);
       }
-      offset += count;
+      offset += part.size();
     }
   });
   rt_->parallel_for_ranks([&](RankId owner) {
     auto& yl = y.local(owner);
     for (const auto& send : comm_.sends[static_cast<std::size_t>(owner)]) {
-      const auto scatter_add = [&](const auto& buf) {
-        EXW_ASSERT(buf.size() == send.idx.size());
+      with_wire_type(wire, [&]<typename T>() {
+        const auto buf = scratch<T>(send.idx.size());
+        transport.recv_into(owner, send.dst, tags::kHaloValues, buf);
         for (std::size_t i = 0; i < buf.size(); ++i) {
           yl[static_cast<std::size_t>(send.idx[i])] += buf[i];
         }
-        double f64 = 0, f32 = 0;
-        split_value_bytes(y.value_precision(),
-                          3.0 * bytes_of(y.value_precision()) *
-                              static_cast<double>(buf.size()),
-                          f64, f32);
-        rt_->tracer().kernel_split_prec(
-            owner, static_cast<double>(buf.size()), f64, f32, 0.0);
-      };
-      if (f32_wire) {
-        scatter_add(transport.recv<float>(owner, send.dst, tags::kHaloValues));
-      } else {
-        scatter_add(transport.recv<Real>(owner, send.dst, tags::kHaloValues));
-      }
+      });
+      double f64 = 0, f32 = 0;
+      split_value_bytes(y.value_precision(),
+                        3.0 * bytes_of(y.value_precision()) *
+                            static_cast<double>(send.idx.size()),
+                        f64, f32);
+      rt_->tracer().kernel_split_prec(
+          owner, static_cast<double>(send.idx.size()), f64, f32, 0.0);
     }
     if (y.value_precision() == Precision::kF32) {
       for (Real& v : yl) v = demote_value(v);

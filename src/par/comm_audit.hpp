@@ -210,10 +210,12 @@ class Auditor final : public perf::PhasePopListener {
 // parameter recording the *caller's* file:line; with it OFF the
 // signatures are exactly what they were before this layer existed.
 // EXW_COMM_SITE_DECL goes on declarations (carries the default),
-// EXW_COMM_SITE_DEF on out-of-line definitions.
+// EXW_COMM_SITE_DEF on out-of-line definitions, EXW_COMM_SITE_ARG on
+// calls that forward the captured site to another overload.
 #define EXW_COMM_SITE_DECL \
   , std::source_location exw_site = std::source_location::current()
 #define EXW_COMM_SITE_DEF , std::source_location exw_site
+#define EXW_COMM_SITE_ARG , exw_site
 /// Run an audit-recording statement (compiled out when OFF).
 #define EXW_COMM_AUDIT_RECORD(...) \
   do {                             \
@@ -232,6 +234,7 @@ inline std::string summary() {
 
 #define EXW_COMM_SITE_DECL
 #define EXW_COMM_SITE_DEF
+#define EXW_COMM_SITE_ARG
 #define EXW_COMM_AUDIT_RECORD(...) ((void)0)
 
 #endif  // EXW_COMM_AUDIT_ENABLED

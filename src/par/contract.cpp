@@ -142,6 +142,19 @@ void check_message_charge(RankId src) {
   }
 }
 
+void check_message_recv_charge(RankId dst) {
+  g_counters.message_charges.fetch_add(1, std::memory_order_relaxed);
+  const RankId ctx = t_rank;
+  if (ctx != kNoRank && ctx != dst) {
+    std::ostringstream os;
+    os << "rank body " << ctx
+       << " charged Tracer::message_received with dst " << dst
+       << " — a message must be charged to its receiver by the receiving "
+          "rank's body";
+    violation(os.str());
+  }
+}
+
 void check_phase_mutation(const char* op) {
   g_counters.phase_mutations.fetch_add(1, std::memory_order_relaxed);
   if (t_rank != kNoRank) {

@@ -8,7 +8,8 @@
 ///   * body `i` sends with `src == i` and receives with `dst == i`, so
 ///     every (src, dst, tag) mailbox channel has a single sender thread
 ///     and per-channel FIFO order is deterministic;
-///   * Tracer kernel/message charges are made as rank `i`;
+///   * Tracer kernel charges and message send/receive halves are made as
+///     rank `i` (the sender charges at send, the receiver at recv);
 ///   * the phase stack is frozen while a region runs (push/pop only on
 ///     the orchestrator, between regions).
 /// This header turns those rules from prose into runtime checks.
@@ -109,8 +110,13 @@ void check_rank_write(RankId target, const char* what, const char* file,
 /// Tracer::kernel — work on rank `r` must be charged by rank r's body.
 void check_kernel_charge(RankId r);
 
-/// Tracer::message — a message must be charged by the sender's body.
+/// Tracer::message_sent — a message's sender half must be charged by the
+/// sender's body.
 void check_message_charge(RankId src);
+
+/// Tracer::message_received — its receiver half must be charged by the
+/// receiver's body.
+void check_message_recv_charge(RankId dst);
 
 /// Tracer phase push/pop — rejected inside a parallel region.
 void check_phase_mutation(const char* op);
@@ -124,7 +130,7 @@ struct Report {
   long recvs = 0;            ///< Transport::recv calls checked
   long rank_writes = 0;      ///< per-rank mutable accessor calls checked
   long kernel_charges = 0;   ///< Tracer::kernel calls checked
-  long message_charges = 0;  ///< Tracer::message calls checked
+  long message_charges = 0;  ///< Tracer message halves checked
   long phase_mutations = 0;  ///< phase push/pop calls checked
   long violations = 0;       ///< checks that threw
 };

@@ -12,9 +12,10 @@
 /// Contract for rank bodies executed through parallel_for():
 ///   * body `i` runs exactly once, on some pool thread (or inline);
 ///   * a body may freely mutate rank-i-owned state and call
-///     Transport::send / recv for rank i (mailboxes are lock-sharded)
-///     and Tracer::kernel / message with `src == i` (cross-rank message
-///     charges are atomic);
+///     Transport::send / recv for rank i (channels are lock-sharded),
+///     which charge Tracer::message_sent / message_received for rank i,
+///     and Tracer::kernel for rank i — so every rank's counters have a
+///     single writer;
 ///   * phase push/pop must stay on the orchestrator thread — the open
 ///     phase stack is frozen for the duration of the region;
 ///   * nested parallel_for() calls run inline on the calling thread;

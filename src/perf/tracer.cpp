@@ -113,7 +113,8 @@ double PhaseStats::max_kernel_flops() const {
 
 Tracer::Tracer(int nranks) : nranks_(nranks) {
   EXW_REQUIRE(nranks >= 1, "tracer needs at least one rank");
-  stats_for("");  // root phase: untagged work is never lost
+  // Root phase: untagged work is never lost.
+  open_.push_back(&stats_for(""));
   stack_.push_back("");
 }
 
@@ -133,7 +134,7 @@ void Tracer::push_phase(const std::string& name) {
   EXW_CONTRACT_CHECK(par::contract::check_phase_mutation("push_phase"));
   const std::string full =
       stack_.back().empty() ? name : stack_.back() + "/" + name;
-  stats_for(full);
+  open_.push_back(&stats_for(full));
   stack_.push_back(full);
   const auto t = purity::totals();
   alloc_snap_.emplace_back(t.allocs, t.bytes);
@@ -147,10 +148,11 @@ void Tracer::pop_phase() {
   // kernel charges accrue to every open phase.
   const auto t = purity::totals();
   const auto& [a0, b0] = alloc_snap_.back();
-  PhaseStats& s = find_stats(stack_.back());
+  PhaseStats& s = *open_.back();
   s.allocs += static_cast<long long>(t.allocs - a0);
   s.alloc_bytes += static_cast<double>(t.bytes - b0);
   alloc_snap_.pop_back();
+  open_.pop_back();
   const std::string closed = std::move(stack_.back());
   stack_.pop_back();
   // Boundary hook last, with the pop fully applied, so a listener that
@@ -158,12 +160,6 @@ void Tracer::pop_phase() {
   if (pop_listener_ != nullptr) {
     pop_listener_->on_phase_pop(closed);
   }
-}
-
-PhaseStats& Tracer::find_stats(const std::string& name) {
-  auto it = phases_.find(name);  // exw-warm-ok: the tracer IS the instrument
-  EXW_ASSERT(it != phases_.end());
-  return it->second;
 }
 
 void Tracer::kernel(RankId r, double flops, double bytes) {
@@ -179,14 +175,12 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                                double value_bytes_f32, double index_bytes) {
   EXW_ASSERT(r.value() >= 0 && r.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_kernel_charge(r));
-  // Rank r's flops/bytes/kernels are written only by the thread running
-  // rank r's body, so plain accumulation is race-free even inside
-  // parallel regions (the stack is frozen there and find_stats never
-  // inserts). The msgs/msg_bytes members are NOT single-writer — any
-  // thread may charge rank r as a message endpoint — so Tracer::message
-  // uses atomic RMWs for them; they must never be touched here.
-  for (const auto& name : stack_) {
-    auto& w = find_stats(name).rank[static_cast<std::size_t>(r)];
+  // Every RankWork field of rank r — kernel and message charges alike —
+  // is written only by the thread running rank r's body, so plain
+  // accumulation is race-free even inside parallel regions (the stack is
+  // frozen there, so open_ is too).
+  for (PhaseStats* s : open_) {
+    auto& w = s->rank[static_cast<std::size_t>(r)];
     w.flops += flops;
     w.bytes += value_bytes_f64 + value_bytes_f32 + index_bytes;
     w.index_bytes += index_bytes;
@@ -196,46 +190,49 @@ void Tracer::kernel_split_prec(RankId r, double flops, double value_bytes_f64,
   }
 }
 
-void Tracer::message(RankId src, RankId dst, double bytes) {
+void Tracer::message_sent(RankId src, [[maybe_unused]] RankId dst,
+                          double bytes) {
   EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
              dst.value() >= 0 && dst.value() < nranks_);
   EXW_CONTRACT_CHECK(par::contract::check_message_charge(src));
-  for (const auto& name : stack_) {
-    auto& s = find_stats(name);
-    // In a halo exchange every rank is simultaneously a sender (charged
-    // here by its own thread) and a destination (charged by neighbor
-    // threads), so BOTH endpoint charges must be atomic: mixing plain
-    // and atomic access to the same object is UB and loses updates.
-    // Relaxed order suffices — the region barrier publishes the totals —
-    // and the double adds stay deterministic because byte counts are
-    // integers, exact in double regardless of accumulation order.
-    auto& ws = s.rank[static_cast<std::size_t>(src)];
-    std::atomic_ref<long>(ws.msgs).fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref<double>(ws.msg_bytes)
-        .fetch_add(bytes, std::memory_order_relaxed);
-    if (dst != src) {
-      auto& wd = s.rank[static_cast<std::size_t>(dst)];
-      std::atomic_ref<long>(wd.msgs).fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<double>(wd.msg_bytes)
-          .fetch_add(bytes, std::memory_order_relaxed);
-    }
-    std::atomic_ref<long>(s.messages).fetch_add(1, std::memory_order_relaxed);
+  for (PhaseStats* s : open_) {
+    auto& w = s->rank[static_cast<std::size_t>(src)];
+    w.msgs += 1;
+    w.msg_bytes += bytes;
+    // The one counter every sender shares. Relaxed order suffices: the
+    // region barrier publishes the total.
+    std::atomic_ref<long>(s->messages).fetch_add(1, std::memory_order_relaxed);
   }
 }
 
+void Tracer::message_received(RankId src, RankId dst, double bytes) {
+  EXW_ASSERT(src.value() >= 0 && src.value() < nranks_ &&
+             dst.value() >= 0 && dst.value() < nranks_);
+  EXW_CONTRACT_CHECK(par::contract::check_message_recv_charge(dst));
+  if (dst == src) return;
+  for (PhaseStats* s : open_) {
+    auto& w = s->rank[static_cast<std::size_t>(dst)];
+    w.msgs += 1;
+    w.msg_bytes += bytes;
+  }
+}
+
+void Tracer::message(RankId src, RankId dst, double bytes) {
+  message_sent(src, dst, bytes);
+  message_received(src, dst, bytes);
+}
+
 void Tracer::collective(double bytes) {
-  for (const auto& name : stack_) {
-    auto& s = stats_for(name);
-    s.collectives += 1;
-    s.coll_bytes += bytes;
+  for (PhaseStats* s : open_) {
+    s->collectives += 1;
+    s->coll_bytes += bytes;
   }
 }
 
 void Tracer::collective_overlapped(double bytes) {
-  for (const auto& name : stack_) {
-    auto& s = stats_for(name);
-    s.overlapped_collectives += 1;
-    s.overlapped_coll_bytes += bytes;
+  for (PhaseStats* s : open_) {
+    s->overlapped_collectives += 1;
+    s->overlapped_coll_bytes += bytes;
   }
 }
 

@@ -75,10 +75,10 @@ struct PhaseStats {
   /// blocking-collective count is directly comparable in benches.
   long overlapped_collectives = 0;
   double overlapped_coll_bytes = 0;
-  /// Exact point-to-point message count. Kept separately from the
-  /// per-rank `msgs` charges: a message is charged to both endpoints
-  /// unless dst == src (self-routed triples in assembly), so halving the
-  /// per-rank sum undercounts whenever self-messages occur.
+  /// Exact point-to-point message count, counted by the sender. Kept
+  /// separately from the per-rank `msgs` charges: a message is charged to
+  /// both endpoints unless dst == src (self-routed triples in assembly),
+  /// so halving the per-rank sum undercounts whenever self-messages occur.
   long messages = 0;
   /// Heap allocations observed while this phase was open (process-wide
   /// deltas of the purity sanitizer's counters, taken at push/pop — see
@@ -131,6 +131,9 @@ class PhasePopListener {
 class Tracer {
  public:
   explicit Tracer(int nranks);
+  // open_ points into phases_: a copy would charge the original's phases.
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   int nranks() const { return nranks_; }
 
@@ -164,10 +167,21 @@ class Tracer {
   void kernel_split_prec(RankId r, double flops, double value_bytes_f64,
                          double value_bytes_f32, double index_bytes);
 
-  /// One message of `bytes` from src to dst; charged to both endpoints
-  /// (once if dst == src). Safe to call from concurrent rank bodies:
-  /// both endpoint charges are atomic, since any rank may be charged as
-  /// src by its own thread and as dst by neighbor threads at once.
+  /// Sender's half of one message of `bytes` from src to dst: charges
+  /// src's msgs/msg_bytes and counts the message in every open phase.
+  /// Must be called from src's rank body (contract-checked), which makes
+  /// it the only writer of src's counters — Transport::send charges it.
+  void message_sent(RankId src, RankId dst, double bytes);
+
+  /// Receiver's half: charges dst's msgs/msg_bytes, nothing for a
+  /// self-message (dst == src, already charged by message_sent). Must be
+  /// called from dst's rank body (contract-checked) — Transport's recv
+  /// charges it.
+  void message_received(RankId src, RankId dst, double bytes);
+
+  /// Both halves at once, for work charged on the orchestrator (outside
+  /// parallel regions): one message, charged to both endpoints (once if
+  /// dst == src).
   void message(RankId src, RankId dst, double bytes);
 
   /// One allreduce-style collective with `bytes` payload per rank.
@@ -198,15 +212,16 @@ class Tracer {
 
  private:
   PhaseStats& stats_for(const std::string& name);
-  /// Lookup without insertion — the hot accounting path. Never mutates
-  /// the phase registry, so concurrent rank bodies can charge work while
-  /// the orchestrator holds the phase stack fixed.
-  PhaseStats& find_stats(const std::string& name);
 
   int nranks_;
   std::map<std::string, PhaseStats> phases_;
   std::vector<std::string> order_;
   std::vector<std::string> stack_;  ///< open fully-qualified names
+  /// Stats of each open phase, parallel to stack_ — the hot accounting
+  /// path charges through these instead of looking names up. std::map
+  /// nodes never move and reset() keeps every phase, so the pointers stay
+  /// valid while their phases are open.
+  std::vector<PhaseStats*> open_;
   /// Purity-counter snapshot (allocs, bytes) taken when each open phase
   /// was pushed; the delta at pop is folded into that phase's `allocs`.
   /// Parallel to stack_ minus the root entry.

@@ -161,6 +161,21 @@ TEST(Contract, WrongRankMessageChargeThrows) {
   EXPECT_NE(msg.find("src 3"), std::string::npos) << msg;
 }
 
+TEST(Contract, WrongRankMessageReceiveChargeThrows) {
+  // Mirror of the send side: a message's receiver half must be charged
+  // by the receiving rank's body.
+  par::Runtime rt(4);
+  const std::string msg = thrown_message([&] {
+    rt.parallel_for_ranks([&](RankId r) {
+      if (r == RankId{0}) {
+        rt.tracer().message_received(RankId{0}, RankId{3}, 8.0);
+      }
+    });
+  });
+  EXPECT_NE(msg.find("rank body 0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("dst 3"), std::string::npos) << msg;
+}
+
 TEST(Contract, CrossRankIJAssemblyWriteThrows) {
   par::Runtime rt(2);
   const auto rows = par::RowPartition::even(GlobalIndex{8}, 2);

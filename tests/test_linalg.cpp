@@ -2,8 +2,12 @@
 // serial counterparts for every rank count.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "linalg/multivector.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace exw::linalg {
@@ -166,18 +170,65 @@ TEST_P(RankSweep, NnzPerRankSumsToGlobal) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, RankSweep, ::testing::Values(1, 2, 3, 5, 8));
 
+// Exact halo ledger: every CommPkg entry is one message, charged to its
+// sender at send and to its receiver at recv — on the inline executor and
+// on the pool alike — with FP32 payloads priced at 4 bytes per value.
 TEST(ParCsr, MatvecChargesHaloMessages) {
-  par::Runtime rt(4);
+  constexpr int kRanks = 4;
+  constexpr std::size_t kLanes = 3;
   const sparse::Csr a = laplace3d(6, 0.1);
-  const auto rows = par::RowPartition::even(GlobalIndex{216}, 4);
-  const ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
-  ParVector x(rt, rows), y(rt, rows);
-  x.fill(1.0);
-  rt.tracer().reset();
-  pa.matvec(x, y);
-  // A block-partitioned 3D Laplacian has neighbor couplings: messages
-  // must have been charged.
-  EXPECT_GT(rt.tracer().phase("").total_messages(), 0);
+  const auto rows = par::RowPartition::even(GlobalIndex{216}, kRanks);
+  const bool was_serial = par::serial_mode();
+  for (const bool serial : {true, false}) {
+    for (const Precision prec : {Precision::kF64, Precision::kF32}) {
+      SCOPED_TRACE(std::string(serial ? "inline" : "pool") +
+                   (prec == Precision::kF32 ? ", fp32" : ", fp64"));
+      par::set_serial_mode(serial);
+      par::Runtime rt(kRanks);
+      ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
+      if (prec == Precision::kF32) pa.demote_values();
+      ParVector x(rt, rows), y(rt, rows);
+      ParMultiVector xm(rt, rows, kLanes), ym(rt, rows, kLanes);
+      x.fill(1.0);
+      xm.fill(1.0);
+      x.set_value_precision(prec);
+      xm.set_value_precision(prec);
+      const double value_bytes = prec == Precision::kF32 ? 4.0 : 8.0;
+
+      // `lanes` values per CommPkg index travel in every message.
+      const auto expect_ledger = [&](const char* op, std::size_t lanes) {
+        SCOPED_TRACE(op);
+        const auto& root = rt.tracer().phase("");
+        long messages = 0;
+        for (RankId r{0}; r.value() < kRanks; ++r) {
+          const auto& sends = pa.comm().sends[static_cast<std::size_t>(r)];
+          const auto& recvs = pa.comm().recvs[static_cast<std::size_t>(r)];
+          std::size_t values = 0;
+          for (const auto& s : sends) values += s.idx.size();
+          for (const auto& v : recvs) values += static_cast<std::size_t>(v.count);
+          const auto& w = root.rank[static_cast<std::size_t>(r)];
+          EXPECT_EQ(w.msgs, static_cast<long>(sends.size() + recvs.size()))
+              << "rank " << r;
+          EXPECT_EQ(w.msg_bytes,
+                    value_bytes * static_cast<double>(lanes * values))
+              << "rank " << r;
+          messages += static_cast<long>(sends.size());
+        }
+        EXPECT_GT(messages, 0);
+        EXPECT_EQ(root.total_messages(), messages);
+        EXPECT_TRUE(rt.transport().drained());
+        rt.tracer().reset();
+      };
+      rt.tracer().reset();
+      pa.matvec(x, y);
+      expect_ledger("matvec", 1);
+      pa.matvec_transpose(x, y);
+      expect_ledger("matvec_transpose", 1);
+      pa.matvec_multi(xm, ym);
+      expect_ledger("matvec_multi", kLanes);
+    }
+  }
+  par::set_serial_mode(was_serial);
 }
 
 }  // namespace

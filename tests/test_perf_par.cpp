@@ -4,11 +4,14 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "par/runtime.hpp"
 #include "par/tags.hpp"
 #include "par/thread_pool.hpp"
 #include "perf/machine_model.hpp"
+#include "perf/purity.hpp"
 #include "perf/tracer.hpp"
 
 namespace exw {
@@ -103,6 +106,61 @@ TEST(Tracer, SelfMessageCountedOnce) {
   EXPECT_EQ(s.total_messages(), 2);
 }
 
+TEST(Tracer, SplitMessageChargesSumToCompositeCharge) {
+  // Transport charges the sender's half at send and the receiver's half
+  // at recv; together they must be exactly Tracer::message, per rank and
+  // in total, in every open phase.
+  perf::Tracer split(3), whole(3);
+  for (perf::Tracer* t : {&split, &whole}) t->push_phase("halo");
+  whole.message(RankId{0}, RankId{2}, 24);
+  whole.message(RankId{2}, RankId{1}, 16);
+  split.message_sent(RankId{0}, RankId{2}, 24);
+  split.message_sent(RankId{2}, RankId{1}, 16);
+  split.message_received(RankId{2}, RankId{1}, 16);
+  split.message_received(RankId{0}, RankId{2}, 24);
+  for (const char* name : {"", "halo"}) {
+    const auto& a = split.phase(name);
+    const auto& b = whole.phase(name);
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_EQ(a.rank[r].msgs, b.rank[r].msgs) << name << " rank " << r;
+      EXPECT_EQ(a.rank[r].msg_bytes, b.rank[r].msg_bytes)
+          << name << " rank " << r;
+    }
+    EXPECT_EQ(a.total_messages(), 2);
+    EXPECT_EQ(b.total_messages(), 2);
+  }
+  EXPECT_EQ(split.phase("").rank[2].msgs, 2);
+  EXPECT_EQ(split.phase("").rank[2].msg_bytes, 40.0);
+}
+
+TEST(Tracer, SelfMessageHalvesChargeOnce) {
+  perf::Tracer t(2);
+  t.message_sent(RankId{1}, RankId{1}, 8);
+  t.message_received(RankId{1}, RankId{1}, 8);  // already charged at send
+  const auto& s = t.phase("");
+  EXPECT_EQ(s.rank[1].msgs, 1);
+  EXPECT_EQ(s.rank[1].msg_bytes, 8.0);
+  EXPECT_EQ(s.rank[0].msgs, 0);
+  EXPECT_EQ(s.total_messages(), 1);
+}
+
+TEST(Tracer, ResetClearsBothMessageHalves) {
+  perf::Tracer t(2);
+  t.push_phase("p");
+  t.message_sent(RankId{0}, RankId{1}, 8);
+  t.message_received(RankId{0}, RankId{1}, 8);
+  t.pop_phase();
+  t.reset();
+  for (const char* name : {"", "p"}) {
+    const auto& s = t.phase(name);
+    EXPECT_EQ(s.total_messages(), 0) << name;
+    for (const auto& w : s.rank) {
+      EXPECT_EQ(w.msgs, 0) << name;
+      EXPECT_EQ(w.msg_bytes, 0.0) << name;
+    }
+  }
+}
+
 TEST(Tracer, ResetClearsMessageCount) {
   perf::Tracer t(2);
   t.message(RankId{0}, RankId{1}, 8);
@@ -145,6 +203,97 @@ TEST(Transport, FifoPerChannel) {
   rt.transport().send<int>(RankId{0}, RankId{1}, par::tags::kTestFifo, {2});
   EXPECT_EQ(rt.transport().recv<int>(RankId{1}, RankId{0}, par::tags::kTestFifo)[0], 1);
   EXPECT_EQ(rt.transport().recv<int>(RankId{1}, RankId{0}, par::tags::kTestFifo)[0], 2);
+}
+
+TEST(Transport, FifoSurvivesBufferRecycling) {
+  // One channel, interleaved sends and recv_into calls of different
+  // sizes: the ring wraps, grows while full, and reuses buffers sized for
+  // other messages — the order and contents must still be exactly FIFO.
+  par::Runtime rt(2);
+  auto& t = rt.transport();
+  const RankId a{0}, b{1};
+  const auto recv = [&](std::size_t n) {
+    std::vector<int> out(n);
+    t.recv_into(b, a, par::tags::kTestFifo, std::span<int>(out));
+    return out;
+  };
+  t.send<int>(a, b, par::tags::kTestFifo, {1});
+  t.send<int>(a, b, par::tags::kTestFifo, {2, 2});
+  EXPECT_EQ(recv(1), (std::vector<int>{1}));
+  t.send<int>(a, b, par::tags::kTestFifo, {3, 3, 3});  // wraps into slot 0
+  t.send<int>(a, b, par::tags::kTestFifo, {4});        // full: ring grows
+  EXPECT_EQ(recv(2), (std::vector<int>{2, 2}));
+  t.send<int>(a, b, par::tags::kTestFifo, {5, 5, 5, 5, 5});
+  EXPECT_EQ(recv(3), (std::vector<int>{3, 3, 3}));
+  EXPECT_EQ(recv(1), (std::vector<int>{4}));
+  EXPECT_EQ(recv(5), (std::vector<int>{5, 5, 5, 5, 5}));
+  EXPECT_TRUE(t.drained());
+  // A cold recv (size unknown up front) reads the same FIFO.
+  t.send<int>(a, b, par::tags::kTestFifo, {6, 6});
+  t.send<int>(a, b, par::tags::kTestFifo, {7});
+  EXPECT_EQ(t.recv<int>(b, a, par::tags::kTestFifo), (std::vector<int>{6, 6}));
+  EXPECT_EQ(recv(1), (std::vector<int>{7}));
+  EXPECT_TRUE(t.drained());
+}
+
+TEST(Transport, RecvIntoRejectsWrongSizeOrType) {
+  par::Runtime rt(2);
+  auto& t = rt.transport();
+  const RankId a{0}, b{1};
+  std::vector<int> three(3);
+  t.send<int>(a, b, par::tags::kTestPing, {1, 2});
+  EXPECT_THROW(t.recv_into(b, a, par::tags::kTestPing, std::span<int>(three)),
+               Error);
+  // Same byte count, different element type.
+  std::vector<float> two(2);
+  t.send<int>(a, b, par::tags::kTestPing, {1, 2});
+  EXPECT_THROW(t.recv_into(b, a, par::tags::kTestPing, std::span<float>(two)),
+               Error);
+  // A rejected message is still consumed, as MPI consumes a truncated one.
+  EXPECT_TRUE(t.drained());
+}
+
+TEST(Transport, HasMessageAndDrainedAfterRecycling) {
+  par::Runtime rt(3);
+  auto& t = rt.transport();
+  const RankId a{0}, b{2};
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_FALSE(t.has_message(b, a, par::tags::kTestPing));
+    EXPECT_TRUE(t.drained());
+    t.send<int>(a, b, par::tags::kTestPing, {round});
+    EXPECT_TRUE(t.has_message(b, a, par::tags::kTestPing));
+    EXPECT_FALSE(t.has_message(a, b, par::tags::kTestPing));
+    EXPECT_FALSE(t.has_message(b, a, par::tags::kTestFifo));
+    EXPECT_FALSE(t.drained());
+    EXPECT_EQ(t.recv<int>(b, a, par::tags::kTestPing)[0], round);
+  }
+  EXPECT_FALSE(t.has_message(b, a, par::tags::kTestPing));
+  EXPECT_TRUE(t.drained());
+}
+
+TEST(Transport, SteadyStateRoundAllocatesNothing) {
+  if (!perf::purity::enabled()) {
+    GTEST_SKIP() << "needs EXW_PURITY_CHECKS=ON";
+  }
+  // No comm auditor: its ledger is checking instrumentation that
+  // allocates records of its own.
+  perf::Tracer tracer(2);
+  par::Transport t(&tracer, 2);
+  const std::vector<double> payload(64, 1.5);
+  std::vector<double> out(64);
+  const auto round = [&] {
+    t.send(RankId{0}, RankId{1}, par::tags::kTestPing,
+           std::span<const double>(payload));
+    t.recv_into(RankId{1}, RankId{0}, par::tags::kTestPing,
+                std::span<double>(out));
+  };
+  round();  // creates the channel and its buffer
+  const auto before = perf::purity::totals().allocs;
+  round();
+  EXPECT_EQ(perf::purity::totals().allocs, before);
+  EXPECT_EQ(out, payload);
+  EXPECT_TRUE(t.drained());
+  EXPECT_EQ(tracer.phase("").total_messages(), 2);
 }
 
 TEST(Transport, RecvWithoutMessageThrows) {
