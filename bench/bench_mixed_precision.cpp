@@ -67,7 +67,7 @@ PrecondWork precond_work(perf::Tracer& tr) {
     w.value_f32 += ph.total_value_bytes_f32();
     w.value_total += ph.total_value_bytes();
     for (const auto& rw : ph.rank) w.msg_bytes += rw.msg_bytes;
-    w.coll_bytes += ph.coll_bytes + ph.overlapped_coll_bytes;
+    w.coll_bytes += ph.coll_bytes;
     w.blocking_colls += ph.collectives;
   }
   return w;

@@ -407,6 +407,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
       mom_stats_.gmres_iterations += lane.iterations;
       mom_stats_.solves += 1;
       mom_stats_.final_residual = lane.final_residual;
+      if (!lane.converged) mom_stats_.unconverged_solves += 1;
     }
     assembly::lane_to_field(blk.layout, x, 0, blk.u);
     assembly::lane_to_field(blk.layout, x, 1, blk.v);
@@ -425,6 +426,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     mom_stats_.gmres_iterations += st.iterations;
     mom_stats_.solves += 1;
     mom_stats_.final_residual = st.final_residual;
+    if (!st.converged) mom_stats_.unconverged_solves += 1;
     assembly::rows_to_field(blk.layout, x, field);
   };
 
@@ -545,6 +547,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   prs_stats_.gmres_iterations += st.iterations;
   prs_stats_.solves += 1;
   prs_stats_.final_residual = st.final_residual;
+  if (!st.converged) prs_stats_.unconverged_solves += 1;
 
   // Projection: u -= (dt / rho) grad(p_new - p_old); p := p_new.
   {
@@ -654,6 +657,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
   scl_stats_.gmres_iterations += st.iterations;
   scl_stats_.solves += 1;
   scl_stats_.final_residual = st.final_residual;
+  if (!st.converged) scl_stats_.unconverged_solves += 1;
   assembly::rows_to_field(blk.layout, x, blk.scl);
 }
 

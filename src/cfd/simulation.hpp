@@ -56,6 +56,9 @@ struct EquationStats {
   int amg_reuses = 0;  ///< solves on the hierarchy untouched (same values)
   int smoother_rebuilds = 0;  ///< SGS2 L/D/U splits built this step
   int smoother_rebinds = 0;   ///< value-only smoother rebinds this step
+  /// Solves (one per fused momentum lane) that returned without meeting
+  /// their GMRES tolerance, e.g. on hitting max_iters.
+  int unconverged_solves = 0;
 };
 
 class Simulation {

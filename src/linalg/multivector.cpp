@@ -118,36 +118,6 @@ void ParMultiVector::copy_from(const ParMultiVector& other) {
 }
 
 EXW_WARM_FN
-void ParMultiVector::copy_lanes(const ParMultiVector& src,
-                                std::span<const std::uint8_t> mask) {
-  EXW_PURITY_REGION("multivector-copy-lanes");
-  EXW_REQUIRE(src.ncomp_ == ncomp_, "multivector lane count mismatch");
-  EXW_REQUIRE(src.global_size() == global_size(), "multivector size mismatch");
-  EXW_REQUIRE(mask.empty() || mask.size() == ncomp_,
-              "lane mask size mismatch");
-  const auto na = static_cast<double>(active_lanes(ncomp_, mask));
-  rt_->parallel_for_ranks([&](RankId r) {
-    const std::size_t n = local_n(r);
-    auto& y = local_[static_cast<std::size_t>(r)];
-    const auto& xs = src.local_[static_cast<std::size_t>(r)];
-    const bool demote = prec_ == Precision::kF32 &&
-                        src.prec_ == Precision::kF64;
-    for (std::size_t c = 0; c < ncomp_; ++c) {
-      if (!mask.empty() && mask[c] == 0) continue;
-      for (std::size_t i = 0; i < n; ++i) {
-        y[c * n + i] = demote ? demote_value(xs[c * n + i]) : xs[c * n + i];
-      }
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(src.prec_, bytes_of(src.prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    split_value_bytes(prec_, bytes_of(prec_) * na * static_cast<double>(n),
-                      f64, f32);
-    rt_->tracer().kernel_split_prec(r, 0.0, f64, f32, 0.0);
-  });
-}
-
-EXW_WARM_FN
 void ParMultiVector::scale_lanes(std::span<const Real> alpha,
                                  std::span<const std::uint8_t> mask) {
   EXW_PURITY_REGION("multivector-scale-lanes");

@@ -35,7 +35,6 @@ class ParVector;
 
 class ParMultiVector {
  public:
-  ParMultiVector() = default;
   ParMultiVector(par::Runtime& rt, par::RowPartition rows, std::size_t ncomp);
 
   std::size_t ncomp() const { return ncomp_; }
@@ -75,12 +74,6 @@ class ParMultiVector {
 
   void fill(Real value);
   void copy_from(const ParMultiVector& other);
-  /// Lane c = (lane c of src) for lanes with mask[c] != 0; other lanes
-  /// are untouched (same frozen-lane rule as scale_lanes/axpy_lanes).
-  /// Copies are bitwise for matching precisions, demoted f64 -> f32
-  /// otherwise. An empty mask means all lanes.
-  void copy_lanes(const ParMultiVector& src,
-                  std::span<const std::uint8_t> mask = {});
   /// Lane c *= alpha[c]. Lanes with mask[c] == 0 are skipped entirely
   /// (not even multiplied by their alpha — a converged component's lane
   /// must stay bitwise-frozen). An empty mask means all lanes.

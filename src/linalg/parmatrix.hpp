@@ -2,7 +2,7 @@
 /// \file parmatrix.hpp
 /// Storage-format seam of the distributed matrix stack.
 ///
-/// The solver layer (GMRES/CG/BiCGStab, the smoother-preconditioned
+/// The solver layer (GMRES and the smoother-preconditioned
 /// momentum path) consumes a distributed operator through this interface
 /// only: partition metadata, SpMV / residual, the fused multi-vector
 /// variants, and the diagonal. ParCsr (hypre's ParCSR layout) is the

@@ -181,32 +181,6 @@ double ParVector::dot(const ParVector& other) const {
 
 double ParVector::norm2() const { return std::sqrt(dot(*this)); }
 
-double ParVector::dot_compensated(const ParVector& other) const {
-  EXW_REQUIRE(other.global_size() == global_size(), "vector size mismatch");
-  std::vector<double> partial(static_cast<std::size_t>(nranks()), 0.0);
-  rt_->parallel_for_ranks([&](RankId r) {
-    const auto& x = local_[static_cast<std::size_t>(r)];
-    const auto& y = other.local_[static_cast<std::size_t>(r)];
-    // Neumaier (Kahan-Babuska) compensation: robust even when a term is
-    // larger in magnitude than the running sum.
-    double sum = 0, comp = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double v = x[i] * y[i];
-      const double t = sum + v;
-      if (std::abs(sum) >= std::abs(v)) {
-        comp += (sum - t) + v;
-      } else {
-        comp += (v - t) + sum;
-      }
-      sum = t;
-    }
-    partial[static_cast<std::size_t>(r)] = sum + comp;
-    rt_->tracer().kernel(r, 8.0 * static_cast<double>(x.size()),
-                         2.0 * kRead * static_cast<double>(x.size()));
-  });
-  return rt_->allreduce_sum(partial);
-}
-
 RealVector ParVector::gather() const {
   RealVector out(static_cast<std::size_t>(global_size()));
   // Ranks write disjoint [first_row, end_row) slices.

@@ -197,28 +197,6 @@ std::vector<double> Runtime::allreduce_sum_vec(
   return sum;
 }
 
-std::vector<double> Runtime::allreduce_sum_vec_overlapped(
-    const std::vector<std::vector<double>>& per_rank_values
-        EXW_COMM_SITE_DEF) {
-  EXW_REQUIRE(checked_narrow<int>(per_rank_values.size()) == nranks_,
-              "allreduce needs one vector per rank");
-  const std::size_t n = per_rank_values.front().size();
-  tracer_.collective_overlapped(static_cast<double>(n * sizeof(double)));
-  EXW_COMM_AUDIT_RECORD(audit_->on_collective(
-      comm_audit::OpKind::kAllreduceSumVecOverlapped, n, exw_site));
-  // Collective result staging — the MPI library's reduction buffer in a
-  // real run, not application warm-path state.
-  EXW_PURITY_ALLOW("collective payload staging");
-  std::vector<double> sum(n, 0.0);
-  for (const auto& v : per_rank_values) {
-    EXW_REQUIRE(v.size() == n, "allreduce vector length mismatch");
-    for (std::size_t i = 0; i < n; ++i) {
-      sum[i] += v[i];
-    }
-  }
-  return sum;
-}
-
 GlobalIndex Runtime::allreduce_sum(
     const std::vector<GlobalIndex>& per_rank_values EXW_COMM_SITE_DEF) {
   EXW_REQUIRE(checked_narrow<int>(per_rank_values.size()) == nranks_,

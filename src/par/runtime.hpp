@@ -254,18 +254,6 @@ class Runtime {
       const std::vector<std::vector<double>>& per_rank_values
           EXW_COMM_SITE_DECL);
 
-  /// Same reduction, charged as a latency-overlapped collective: the
-  /// pipelined Krylov caller has independent local work (the next
-  /// SpMV+precond) in flight while the tree reduction runs, so the
-  /// tracer prices only the bandwidth term
-  /// (MachineModel::allreduce_overlapped_time). Numerically identical
-  /// to allreduce_sum_vec — same rank-ordered elementwise sum — and
-  /// recorded in the comm audit as its own op kind so a blocking and an
-  /// overlapped collective can never silently alias across ranks.
-  std::vector<double> allreduce_sum_vec_overlapped(
-      const std::vector<std::vector<double>>& per_rank_values
-          EXW_COMM_SITE_DECL);
-
   GlobalIndex allreduce_sum(
       const std::vector<GlobalIndex>& per_rank_values EXW_COMM_SITE_DECL);
   GlobalIndex allreduce_max(

@@ -9,6 +9,21 @@
 
 namespace exw::perf {
 
+namespace {
+
+/// Blocking-collective term shared by modeled_time and comm_time: every
+/// collective of the phase priced at the phase's average payload.
+double collective_time(const PhaseStats& s, const MachineModel& m) {
+  const int nranks = checked_narrow<int>(s.rank.size());
+  const double avg_coll_bytes =
+      s.collectives > 0 ? s.coll_bytes / static_cast<double>(s.collectives)
+                        : 0.0;
+  return static_cast<double>(s.collectives) *
+         m.allreduce_time(avg_coll_bytes, nranks);
+}
+
+}  // namespace
+
 double PhaseStats::modeled_time(const MachineModel& m) const {
   double worst = 0.0;
   const double f = m.flops_per_s * m.efficiency;
@@ -20,18 +35,7 @@ double PhaseStats::modeled_time(const MachineModel& m) const {
                         w.msg_bytes / m.msg_bytes_per_s;
     worst = std::max(worst, compute + comm);
   }
-  const int nranks = checked_narrow<int>(rank.size());
-  const double avg_coll_bytes =
-      collectives > 0 ? coll_bytes / static_cast<double>(collectives) : 0.0;
-  const double avg_ovl_bytes =
-      overlapped_collectives > 0
-          ? overlapped_coll_bytes / static_cast<double>(overlapped_collectives)
-          : 0.0;
-  return worst +
-         static_cast<double>(collectives) *
-             m.allreduce_time(avg_coll_bytes, nranks) +
-         static_cast<double>(overlapped_collectives) *
-             m.allreduce_overlapped_time(avg_ovl_bytes, nranks);
+  return worst + collective_time(*this, m);
 }
 
 double PhaseStats::compute_time(const MachineModel& m) const {
@@ -51,18 +55,7 @@ double PhaseStats::comm_time(const MachineModel& m) const {
     worst = std::max(worst, static_cast<double>(w.msgs) * m.msg_latency_s +
                                 w.msg_bytes / m.msg_bytes_per_s);
   }
-  const int nranks = checked_narrow<int>(rank.size());
-  const double avg_coll_bytes =
-      collectives > 0 ? coll_bytes / static_cast<double>(collectives) : 0.0;
-  const double avg_ovl_bytes =
-      overlapped_collectives > 0
-          ? overlapped_coll_bytes / static_cast<double>(overlapped_collectives)
-          : 0.0;
-  return worst +
-         static_cast<double>(collectives) *
-             m.allreduce_time(avg_coll_bytes, nranks) +
-         static_cast<double>(overlapped_collectives) *
-             m.allreduce_overlapped_time(avg_ovl_bytes, nranks);
+  return worst + collective_time(*this, m);
 }
 
 long PhaseStats::total_kernels() const {
@@ -229,13 +222,6 @@ void Tracer::collective(double bytes) {
   }
 }
 
-void Tracer::collective_overlapped(double bytes) {
-  for (PhaseStats* s : open_) {
-    s->overlapped_collectives += 1;
-    s->overlapped_coll_bytes += bytes;
-  }
-}
-
 double Tracer::phase_time(const std::string& name,
                           const MachineModel& m) const {
   return phase(name).modeled_time(m);
@@ -258,8 +244,6 @@ void Tracer::reset() {
     std::fill(s.rank.begin(), s.rank.end(), RankWork{});
     s.collectives = 0;
     s.coll_bytes = 0;
-    s.overlapped_collectives = 0;
-    s.overlapped_coll_bytes = 0;
     s.messages = 0;
     s.allocs = 0;
     s.alloc_bytes = 0;

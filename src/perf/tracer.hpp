@@ -67,14 +67,6 @@ struct PhaseStats {
   std::vector<RankWork> rank;
   long collectives = 0;
   double coll_bytes = 0;
-  /// Collectives whose latency is hidden behind overlapped local work
-  /// (pipelined Krylov: the reduction is in flight while the next
-  /// SpMV+precond runs). They are NOT counted in `collectives`; modeled
-  /// time prices them with MachineModel::allreduce_overlapped_time —
-  /// bandwidth still paid, latency hidden — so a pipelined solver's
-  /// blocking-collective count is directly comparable in benches.
-  long overlapped_collectives = 0;
-  double overlapped_coll_bytes = 0;
   /// Exact point-to-point message count, counted by the sender. Kept
   /// separately from the per-rank `msgs` charges: a message is charged to
   /// both endpoints unless dst == src (self-routed triples in assembly),
@@ -186,11 +178,6 @@ class Tracer {
 
   /// One allreduce-style collective with `bytes` payload per rank.
   void collective(double bytes);
-
-  /// One collective whose latency is overlapped with independent local
-  /// work (pipelined Krylov). Counted separately from collective() —
-  /// modeled time prices only its bandwidth term (see PhaseStats).
-  void collective_overlapped(double bytes);
 
   /// Modeled seconds of a phase ("" = whole program) on machine `m`.
   double phase_time(const std::string& name, const MachineModel& m) const;

@@ -33,27 +33,6 @@ namespace exw::solver {
 enum class OrthoMethod : std::uint8_t {
   kMgs,        ///< modified Gram-Schmidt, one reduction per basis vector
   kOneReduce,  ///< fused CGS with Pythagorean norm update
-  /// Depth-1 pipelined one-reduce (Ghysels-style): the fused
-  /// [V^T w ; ||w||^2] reduction is *initiated*, then the next
-  /// SpMV + preconditioner application runs on the un-orthogonalized
-  /// candidate while the reduction is in flight — legal because
-  /// A M^-1 v_{j+1} is recovered from the auxiliary basis
-  /// q_i = A M^-1 v_i by the same linear recurrence that builds v_{j+1},
-  /// so nothing downstream blocks on the dots until the matvec is done.
-  /// Per iteration this removes the last blocking collective from the
-  /// critical path (its bandwidth is still paid; see
-  /// MachineModel::allreduce_overlapped_time); the reorthogonalization
-  /// fallback, when Rutishauser's test triggers, stays a blocking
-  /// reduce. Costs one extra basis (Q) of storage and one extra axpy
-  /// fan per iteration — the classic pipelined-GMRES trade.
-  /// Iterates agree with kOneReduce to rounding (the q recurrence
-  /// reassociates A M^-1), not bitwise. The recurrence amplifies
-  /// rounding error by ~||q_j||/h_{j+1,j} per iteration, so every
-  /// `pipeline_sync_period`-th iteration synchronizes: the reduction
-  /// blocks and q_{j+1} is recomputed directly (residual replacement),
-  /// bounding the drift that would otherwise inflate iteration counts
-  /// under strong preconditioners.
-  kPipelined,
 };
 
 struct GmresOptions {
@@ -62,29 +41,6 @@ struct GmresOptions {
   Real rel_tol = 1e-6;
   Real abs_tol = 0.0;
   OrthoMethod ortho = OrthoMethod::kOneReduce;
-  /// kPipelined only: every N-th iteration of a restart cycle is a
-  /// synchronization point — blocking fused reduction plus a direct
-  /// recompute of q_{j+1} = A M^-1 v_{j+1} — resetting q-recurrence
-  /// drift (residual replacement). Keyed off the in-cycle iteration
-  /// index alone, so scalar and multi-RHS solves choose identically.
-  /// <= 0 disables (pure recurrence; unstable with strong
-  /// preconditioners).
-  int pipeline_sync_period = 8;
-  /// kPipelined only: the q recurrence multiplies accumulated rounding
-  /// error by ~||q_j||/h_{j+1,j} each iteration (~sqrt(2) when the
-  /// Rutishauser test does not fire, orders of magnitude when it does).
-  /// The solver tracks the running product per restart cycle and
-  /// resynchronizes q_{j+1} by direct recompute once it exceeds this
-  /// limit, holding the basis error near limit * machine-epsilon
-  /// (~1e-9 at the default) at the cost of one extra preconditioner +
-  /// SpMV application per resync. Tracked per lane in the multi-RHS
-  /// solver from bitwise-identical reduced quantities, so fused lanes
-  /// resync exactly when their scalar solves would.
-  double pipeline_drift_limit = 1e7;
-  /// Optional per-iteration residual-estimate trace (the Givens value
-  /// |g_{j+1}| each accepted iteration appends). Not owned; cleared by
-  /// the solver at entry. Scalar gmres_solve only.
-  std::vector<Real>* residual_trace = nullptr;
 };
 
 struct SolveStats {

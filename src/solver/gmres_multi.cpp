@@ -49,8 +49,7 @@ enum class LaneState : std::uint8_t {
 /// fused_dots computes them, so the reduced values match bitwise.
 std::vector<double> fused_dots_multi(
     const std::vector<linalg::ParMultiVector>& v, std::size_t count,
-    const linalg::ParMultiVector& w, const std::vector<std::size_t>& lanes,
-    bool overlapped = false) {
+    const linalg::ParMultiVector& w, const std::vector<std::size_t>& lanes) {
   par::Runtime& rt = w.runtime();
   const int nranks = w.nranks();
   const std::size_t seg = count + 1;
@@ -80,8 +79,7 @@ std::vector<double> fused_dots_multi(
     rt.tracer().kernel(r, nl * 2.0 * static_cast<double>(count + 1) * n,
                        nl * static_cast<double>(count + 2) * n * sizeof(Real));
   });
-  return overlapped ? rt.allreduce_sum_vec_overlapped(partial)
-                    : rt.allreduce_sum_vec(partial);
+  return rt.allreduce_sum_vec(partial);
 }
 
 }  // namespace
@@ -101,19 +99,9 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
   MultiSolveStats out;
   out.lane.assign(nc, SolveStats{});
 
-  const bool pipe = opts.ortho == OrthoMethod::kPipelined;
-
   linalg::ParMultiVector r(rt, a.rows(), nc);
   linalg::ParMultiVector w(rt, a.rows(), nc);
   linalg::ParMultiVector z(rt, a.rows(), nc);
-  // Pipelined auxiliary planes: t = A M^-1 q_j and the running
-  // combination that becomes q_{j+1} (allocated only when used).
-  linalg::ParMultiVector t;
-  linalg::ParMultiVector tq;
-  if (pipe) {
-    t = linalg::ParMultiVector(rt, a.rows(), nc);
-    tq = linalg::ParMultiVector(rt, a.rows(), nc);
-  }
   // Scalar scratch for the per-lane epilogues.
   linalg::ParVector ws(rt, a.rows());
   linalg::ParVector zs(rt, a.rows());
@@ -143,10 +131,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
   }
 
   std::vector<linalg::ParMultiVector> v;  // shared Krylov basis planes
-  std::vector<linalg::ParMultiVector> q;  // pipelined: q_i = A M^-1 v_i
-  // Per-lane running q-recurrence error amplification (see
-  // GmresOptions::pipeline_drift_limit), reset at every shared restart.
-  std::vector<double> drift(nc, 1.0);
   // Per-lane Hessenberg (column-major by iteration), Givens, rhs.
   std::vector<std::vector<std::vector<Real>>> h(nc);
   std::vector<std::vector<Real>> cs(nc);
@@ -243,16 +227,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
     }
     v[0].copy_from(r);
     v[0].scale_lanes(coef, mask);
-    if (pipe) {
-      // Prime the pipeline: q_0 = A M^-1 v_0, fused across lanes (dead
-      // planes are scribble space, exactly like the w planes below).
-      if (q.empty()) {
-        q.emplace_back(rt, a.rows(), nc);
-      }
-      m.apply_multi(v[0], z);
-      a.matvec_multi(z, q[0]);
-      std::fill(drift.begin(), drift.end(), 1.0);
-    }
 
     std::size_t j = 0;
     while (j < restart && any_state(LaneState::kIterating)) {
@@ -278,36 +252,9 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
 
       // w = A M^-1 v_j, fused across all lanes (dead planes are scribble
       // space: matvec's beta = 0 and apply_zero overwrite them fully).
-      // Pipelined: the candidate IS q_j — initiate the batched fused
-      // reduction on it, then run the next pipeline stage t = A M^-1 q_j
-      // while the collective is in flight.
-      // Synchronization point (see GmresOptions::pipeline_sync_period):
-      // keyed off j alone, exactly like the scalar solver, so every lane
-      // stays bitwise-identical to its scalar solve.
-      const bool sync =
-          pipe && opts.pipeline_sync_period > 0 &&
-          (j + 1) % static_cast<std::size_t>(opts.pipeline_sync_period) == 0;
-      std::vector<double> pdots;
-      if (pipe) {
-        pdots = fused_dots_multi(v, j + 1, q[j], act, /*overlapped=*/!sync);
-        if (!sync) {
-          m.apply_multi(q[j], z);
-          a.matvec_multi(z, t);
-          tq.copy_from(t);
-        }
-        w.copy_from(q[j]);
-      } else {
-        m.apply_multi(v[j], z);
-        a.matvec_multi(z, w);
-      }
+      m.apply_multi(v[j], z);
+      a.matvec_multi(z, w);
 
-      // Pipelined lanes whose reorthogonalization fallback fired this
-      // iteration: their q_{j+1} is recomputed directly below instead of
-      // continuing the recurrence (see the scalar solver for the
-      // amplification argument). Per-lane, exactly as a scalar solve of
-      // that lane would decide, preserving bitwise lane equivalence.
-      std::vector<std::uint8_t> rsync(nc, 0);
-      bool any_rsync = false;
       if (opts.ortho == OrthoMethod::kMgs) {
         // One batched reduction per projection + one for the norm.
         for (std::size_t i = 0; i <= j; ++i) {
@@ -324,11 +271,9 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
           h[c][j][j + 1] = norms[c];
         }
       } else {
-        // One fused reduction for every active lane: [V^T w ; ||w||^2]
-        // (already in flight — and consumed here — when pipelined).
+        // One fused reduction for every active lane: [V^T w ; ||w||^2].
         const std::size_t seg = j + 2;
-        const auto dots =
-            pipe ? std::move(pdots) : fused_dots_multi(v, j + 1, w, act);
+        const auto dots = fused_dots_multi(v, j + 1, w, act);
         std::vector<double> w_norm2(nc, 0.0);
         std::vector<double> h_norm2(nc, 0.0);
         for (std::size_t li = 0; li < act.size(); ++li) {
@@ -345,9 +290,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
             coef[c] = -h[c][j][i];
           }
           w.axpy_lanes(coef, v[i], mask);
-          // The q recurrence gets the same combination so that
-          // q_{j+1} = A M^-1 v_{j+1} keeps holding by linearity.
-          if (pipe && !sync) tq.axpy_lanes(coef, q[i], mask);
         }
         // Rutishauser "twice is enough", per lane; lanes that trigger
         // share one second fused reduction.
@@ -383,11 +325,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
               coef[c] = -dots2[li * seg + i];
             }
             w.axpy_lanes(coef, v[i], rmask);
-            // Fold the (blocking) reorthogonalization into the q
-            // recurrence too, keeping both bases consistent. (Lanes
-            // that resync below overwrite this — the fold is only live
-            // for lanes still on the recurrence.)
-            if (pipe && !sync) tq.axpy_lanes(coef, q[i], rmask);
           }
           for (std::size_t li = 0; li < reo.size(); ++li) {
             const std::size_t c = reo[li];
@@ -400,25 +337,6 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
               hlast[c] = w.lane_norm2(c);
             }
             h[c][j][j + 1] = hlast[c];
-          }
-        }
-        if (pipe) {
-          // Drift bookkeeping, mirroring the scalar solver exactly:
-          // every reduced quantity here is bitwise-equal to the scalar
-          // solve's, so each lane resyncs at the identical iteration.
-          for (std::size_t c : act) {
-            const double amp =
-                hlast[c] > 0.0
-                    ? std::sqrt(std::max(w_norm2[c], 0.0)) / hlast[c]
-                    : 0.0;
-            drift[c] *= std::max(amp, 1.0);
-            if (sync || drift[c] > opts.pipeline_drift_limit) {
-              drift[c] = 1.0;
-              if (!sync) {
-                rsync[c] = 1;
-                any_rsync = true;
-              }
-            }
           }
         }
       }
@@ -442,55 +360,14 @@ MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
         v[j + 1].copy_from(w);
         v[j + 1].scale_lanes(coef, pmask);
         // Scrub the scribble planes. Dead-lane values cycle through
-        // A M^-1 every iteration (directly in the pipelined q recurrence,
-        // via the fused w product otherwise) and the operator's norm can
-        // exceed 1, so left alone they grow geometrically until the FP32
-        // demote boundary inside a mixed-precision preconditioner
-        // overflows. Zeroing is invisible to live lanes — every fused
-        // kernel is lane-wise — and keeps the scratch planes bounded.
+        // A M^-1 every iteration via the fused w product, and the
+        // operator's norm can exceed 1, so left alone they grow
+        // geometrically until the FP32 demote boundary inside a
+        // mixed-precision preconditioner overflows. Zeroing is invisible
+        // to live lanes — every fused kernel is lane-wise — and keeps the
+        // scratch planes bounded.
         for (std::size_t c = 0; c < nc; ++c) {
           if (!pmask[c]) v[j + 1].lane_fill(c, 0.0);
-        }
-      }
-      if (pipe) {
-        if (q.size() <= j + 1) {
-          q.emplace_back(rt, a.rows(), nc);
-        }
-        if (any_push) {
-          if (sync) {
-            // Periodic synchronization point: recompute
-            // q_{j+1} = A M^-1 v_{j+1} directly (the operator
-            // application this iteration skipped), discarding
-            // accumulated recurrence drift for every lane at once.
-            m.apply_multi(v[j + 1], z);
-            a.matvec_multi(z, q[j + 1]);
-          } else {
-            // q_{j+1} = A M^-1 v_{j+1} by linearity: the
-            // already-computed t minus the same basis combination,
-            // scaled by the same 1/hlast — no second operator
-            // application.
-            q[j + 1].copy_from(tq);
-            q[j + 1].scale_lanes(coef, pmask);
-            if (any_rsync) {
-              // Reorth-triggered resync: overwrite exactly the lanes
-              // whose fallback fired with a direct recompute, leaving
-              // the clean lanes' recurrence values untouched (a scalar
-              // solve of each lane makes the identical choice).
-              std::vector<std::uint8_t> rsmask(nc, 0);
-              for (std::size_t c = 0; c < nc; ++c) {
-                if (rsync[c] && pmask[c]) rsmask[c] = 1;
-              }
-              m.apply_multi(v[j + 1], z);
-              a.matvec_multi(z, t);
-              q[j + 1].copy_lanes(t, rsmask);
-            }
-          }
-          // Same scribble scrub as v[j+1] above: q planes feed the
-          // preconditioner every iteration, so unbounded dead-lane
-          // values would hit the FP32 demote boundary first.
-          for (std::size_t c = 0; c < nc; ++c) {
-            if (!pmask[c]) q[j + 1].lane_fill(c, 0.0);
-          }
         }
       }
 

@@ -72,6 +72,32 @@ TEST(Cfd, TurbineStepSolvesAllEquations) {
   // iterations (3 solves per mesh per Picard iteration here).
   EXPECT_LT(sim.momentum_stats().gmres_iterations / sim.momentum_stats().solves,
             20);
+  EXPECT_EQ(sim.momentum_stats().unconverged_solves, 0);
+  EXPECT_EQ(sim.continuity_stats().unconverged_solves, 0);
+  EXPECT_EQ(sim.scalar_stats().unconverged_solves, 0);
+}
+
+TEST(Cfd, UnconvergedSolvesAreCounted) {
+  // GMRES capped at one iteration cannot meet its tolerance; every solve
+  // site (fused and sequential momentum, continuity, scalar) must report
+  // it instead of passing the field on silently.
+  for (bool fused : {true, false}) {
+    auto sys = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
+    par::Runtime rt(4);
+    SimConfig cfg;
+    cfg.picard_iters = 2;
+    cfg.use_fused_momentum = fused;
+    cfg.pressure_gmres.max_iters = 1;
+    cfg.momentum_gmres.max_iters = 1;
+    Simulation sim(sys, cfg, rt);
+    sim.step();
+    for (const EquationStats* st :
+         {&sim.momentum_stats(), &sim.continuity_stats(),
+          &sim.scalar_stats()}) {
+      EXPECT_GT(st->unconverged_solves, 0) << "fused=" << fused;
+      EXPECT_LE(st->unconverged_solves, st->solves) << "fused=" << fused;
+    }
+  }
 }
 
 TEST(Cfd, PhaseBreakdownIsPopulated) {

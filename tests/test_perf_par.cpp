@@ -178,6 +178,38 @@ TEST(Tracer, CollectiveScalesWithRanks) {
   EXPECT_LT(t2.phase("").modeled_time(m), t16.phase("").modeled_time(m));
 }
 
+TEST(Tracer, CollectiveTermOfModeledAndCommTime) {
+  // Both clocks add `collectives x allreduce_time(average payload, R)` to
+  // their worst-rank time; two collectives of different payload are
+  // priced at their mean.
+  perf::MachineModel m;
+  m.flops_per_s = 10.0;
+  m.bytes_per_s = 1e30;
+  m.kernel_launch_s = 0.5;
+  m.msg_latency_s = 1.0;
+  m.msg_bytes_per_s = 8.0;
+  m.coll_hop_s = 2.0;
+  perf::PhaseStats ph;
+  ph.rank.resize(4);
+  // Rank 0: compute 2 + 0.5, comm 1 + 1 -> 4.5 (not the worst).
+  ph.rank[0].flops = 20;
+  ph.rank[0].kernels = 1;
+  ph.rank[0].msgs = 1;
+  ph.rank[0].msg_bytes = 8;
+  // Rank 3: compute 1 + 0.5, comm 3 + 2 -> 6.5 (worst overall and in comm).
+  ph.rank[3].flops = 10;
+  ph.rank[3].kernels = 1;
+  ph.rank[3].msgs = 3;
+  ph.rank[3].msg_bytes = 16;
+  ph.collectives = 2;
+  ph.coll_bytes = 8 + 24;
+  // ceil(log2 4) = 2 hops x (2 + 16 / 8) = 8 s per collective.
+  const double coll = 2 * m.allreduce_time(16.0, 4);
+  EXPECT_EQ(coll, 16.0);
+  EXPECT_EQ(ph.modeled_time(m), 6.5 + coll);
+  EXPECT_EQ(ph.comm_time(m), 5.0 + coll);
+}
+
 TEST(Tracer, ResetClearsWorkKeepsPhases) {
   perf::Tracer t(1);
   t.push_phase("a");

@@ -74,8 +74,7 @@ TEST_P(GmresSweep, RespectsInitialGuess) {
 INSTANTIATE_TEST_SUITE_P(
     OrthoAndRanks, GmresSweep,
     ::testing::Combine(::testing::Values(OrthoMethod::kMgs,
-                                         OrthoMethod::kOneReduce,
-                                         OrthoMethod::kPipelined),
+                                         OrthoMethod::kOneReduce),
                        ::testing::Values(1, 2, 5)));
 
 TEST(Gmres, RestartStillConverges) {
