@@ -73,12 +73,12 @@ void fill_values(assembly::EquationGraph& graph, const BoxCase& c, Real s) {
   graph.zero_values();
   for (std::size_t e = 0; e < c.db.edges.size(); ++e) {
     const Real g = c.db.edges[e].coeff * s;
-    graph.add_edge(e, {g, -g, -g, g}, {0.1 * s, -0.2 * s}, false);
+    graph.add_edge(e, {g, -g, -g, g}, {0.1 * s, -0.2 * s});
   }
   for (GlobalIndex node{0}; node < c.db.num_nodes(); ++node) {
     graph.add_node(node,
                    c.dirichlet[static_cast<std::size_t>(node)] ? 1.0 : 0.0,
-                   0.5 * s, false);
+                   0.5 * s);
   }
 }
 

@@ -21,9 +21,10 @@ namespace exw::bench {
 /// Process-wide heap-allocation count, read from the purity sanitizer's
 /// interposition (perf/purity.hpp). Replaces the hand-rolled operator-new
 /// probes the reuse benches used to carry — one allocator owner per
-/// program. Always zero when EXW_PURITY_CHECKS=OFF, so steadiness checks
-/// built on deltas of this value stay vacuously true there; benches that
-/// need a hard floor should guard on perf::purity::enabled().
+/// program. Always zero when purity checks are compiled out, so
+/// steadiness checks built on deltas of this value stay vacuously true
+/// there; benches that need a hard floor should guard on
+/// perf::purity::enabled().
 inline unsigned long long alloc_count() {
   return perf::purity::totals().allocs;
 }

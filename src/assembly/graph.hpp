@@ -84,21 +84,18 @@ class EquationGraph {
   void zero_values();
 
   /// Accumulate one edge's 2x2 stencil `m = [aa ab; ba bb]` and RHS pair.
-  /// With `atomic`, values are added through std::atomic_ref — the
-  /// device-atomics code path of §3.2 (non-reproducible order, same sum).
   void add_edge(std::size_t edge_id, const std::array<Real, 4>& m,
-                const std::array<Real, 2>& rhs, bool atomic = false);
+                const std::array<Real, 2>& rhs);
 
   /// Accumulate one node's diagonal + RHS contribution. For Dirichlet
   /// rows this *is* the row: diag = 1, rhs = boundary value.
-  void add_node(GlobalIndex node, Real diag, Real rhs, bool atomic = false);
+  void add_node(GlobalIndex node, Real diag, Real rhs);
 
   /// RHS-only fill (used to reuse one momentum matrix for the three
   /// velocity components: matrix assembled once, three RHS passes).
   void zero_rhs();
-  void add_edge_rhs(std::size_t edge_id, const std::array<Real, 2>& rhs,
-                    bool atomic = false);
-  void add_node_rhs(GlobalIndex node, Real rhs, bool atomic = false);
+  void add_edge_rhs(std::size_t edge_id, const std::array<Real, 2>& rhs);
+  void add_node_rhs(GlobalIndex node, Real rhs);
 
   /// Graph-stage pattern statistics (for cost accounting).
   std::vector<double> pattern_nnz_per_rank() const;
@@ -114,8 +111,8 @@ class EquationGraph {
   void build_slots();
   Slot locate_matrix(RankId r, GlobalIndex row, GlobalIndex col) const;
   Slot locate_rhs(RankId r, GlobalIndex row) const;
-  void apply(RankId r, Slot slot, Real v, bool atomic);
-  void apply_rhs(RankId r, Slot slot, Real v, bool atomic);
+  void apply(RankId r, Slot slot, Real v);
+  void apply_rhs(RankId r, Slot slot, Real v);
 
   const mesh::MeshDB* db_;
   const MeshLayout* layout_;

@@ -25,7 +25,6 @@ struct SimConfig {
   assembly::PartitionMethod partition = assembly::PartitionMethod::kGraph;
   assembly::GlobalAssemblyAlgo assembly_algo =
       assembly::GlobalAssemblyAlgo::kSortReduce;
-  bool atomic_local_assembly = false;
   /// Cache the stage-3 assembly structure per equation graph and refill
   /// values in place on later Picard iterations (hypre's SetValues2 /
   /// AddToValues2 fast path). Only engages with kSortReduce, whose

@@ -43,6 +43,13 @@ void charge_per_rank(perf::Tracer& tracer, const std::vector<double>& items,
   }
 }
 
+/// Upwinded advection + diffusion stencil of one edge, rows a and b, for
+/// mass flux `f` (a to b) and diffusion coefficient `diff`.
+std::array<Real, 4> upwind_edge_matrix(Real f, Real diff) {
+  return {std::max(f, 0.0) + diff, std::min(f, 0.0) - diff,
+          std::min(-f, 0.0) - diff, std::max(-f, 0.0) + diff};
+}
+
 }  // namespace
 
 void Simulation::assemble_system(EquationCache& cache,
@@ -262,12 +269,10 @@ void Simulation::compute_fluxes(MeshBlock& blk) {
     const auto& edge = db.edges[e];
     const auto a = static_cast<std::size_t>(edge.a);
     const auto b = static_cast<std::size_t>(edge.b);
-    const Vec3 dx = db.coords[b] - db.coords[a];
     const Vec3 uavg{0.5 * (blk.u[a] + blk.u[b]), 0.5 * (blk.v[a] + blk.v[b]),
                     0.5 * (blk.w[a] + blk.w[b])};
     const Vec3 um = mesh_velocity(
         blk, (db.coords[a] + db.coords[b]) * 0.5);
-    (void)dx;
     blk.edge_flux[e] = cfg_.density * (uavg - um).dot(edge.area);
   }
 }
@@ -308,7 +313,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
       if (blk.mom_dirichlet[i]) {
         const Vec3 bc = boundary_velocity(blk, node);
         const Real val = component == 0 ? bc.x : (component == 1 ? bc.y : bc.z);
-        blk.mom_graph->add_node_rhs(node, val, cfg_.atomic_local_assembly);
+        blk.mom_graph->add_node_rhs(node, val);
       } else {
         const Real vol = db.node_volume[i];
         const Real mass = rho * vol / cfg_.dt;
@@ -316,8 +321,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
                         : component == 1 ? blk.v_old[i] : blk.w_old[i];
         const Real gp = component == 0 ? gradp[i].x
                         : component == 1 ? gradp[i].y : gradp[i].z;
-        blk.mom_graph->add_node_rhs(node, mass * uo - vol * gp,
-                                    cfg_.atomic_local_assembly);
+        blk.mom_graph->add_node_rhs(node, mass * uo - vol * gp);
       }
     }
     charge_per_rank(tracer, counts.nodes, 8.0, 48.0);
@@ -327,20 +331,14 @@ void Simulation::solve_momentum(MeshBlock& blk) {
     perf::PhaseScope ph(tracer, "local");
     blk.mom_graph->zero_values();
     for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const auto& edge = db.edges[e];
-      const Real diff = mu * edge.coeff;
-      const Real f = blk.edge_flux[e];
-      // Upwinded advection + diffusion, rows a and b.
-      const std::array<Real, 4> m{std::max(f, 0.0) + diff,
-                                  std::min(f, 0.0) - diff,
-                                  std::min(-f, 0.0) - diff,
-                                  std::max(-f, 0.0) + diff};
-      blk.mom_graph->add_edge(e, m, {0.0, 0.0}, cfg_.atomic_local_assembly);
+      blk.mom_graph->add_edge(
+          e, upwind_edge_matrix(blk.edge_flux[e], mu * db.edges[e].coeff),
+          {0.0, 0.0});
     }
     for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
       const auto i = static_cast<std::size_t>(node);
       if (blk.mom_dirichlet[i]) {
-        blk.mom_graph->add_node(node, 1.0, 0.0, cfg_.atomic_local_assembly);
+        blk.mom_graph->add_node(node, 1.0, 0.0);
       } else {
         // Time term plus the boundary advection closure (outflow faces of
         // the node's dual cell); together with the edge fluxes this makes
@@ -349,7 +347,7 @@ void Simulation::solve_momentum(MeshBlock& blk) {
         const Real fb = rho * (ui - mesh_velocity(blk, db.coords[i]))
                                   .dot(db.node_boundary_area[i]);
         blk.mom_graph->add_node(node, rho * db.node_volume[i] / cfg_.dt + fb,
-                                0.0, cfg_.atomic_local_assembly);
+                                0.0);
       }
     }
     fill_node_rhs(0);
@@ -468,8 +466,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     blk.prs_graph->zero_values();
     for (std::size_t e = 0; e < db.edges.size(); ++e) {
       const Real g = db.edges[e].coeff;
-      blk.prs_graph->add_edge(e, {g, -g, -g, g}, {0.0, 0.0},
-                              cfg_.atomic_local_assembly);
+      blk.prs_graph->add_edge(e, {g, -g, -g, g}, {0.0, 0.0});
     }
     for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
       const auto i = static_cast<std::size_t>(node);
@@ -480,11 +477,9 @@ void Simulation::solve_continuity(MeshBlock& blk) {
         if (db.roles[i] == NodeRole::kFringe) {
           p_bc = blk.p[i];  // donor-interpolated
         }
-        blk.prs_graph->add_node(node, 1.0, p_bc - blk.p[i],
-                                cfg_.atomic_local_assembly);
+        blk.prs_graph->add_node(node, 1.0, p_bc - blk.p[i]);
       } else {
-        blk.prs_graph->add_node(node, 0.0, -(rho / cfg_.dt) * div[i],
-                                cfg_.atomic_local_assembly);
+        blk.prs_graph->add_node(node, 0.0, -(rho / cfg_.dt) * div[i]);
       }
     }
     charge_per_rank(tracer, counts.edges, 16.0, 120.0);
@@ -599,14 +594,9 @@ void Simulation::solve_scalar(MeshBlock& blk) {
     perf::PhaseScope ph(tracer, "local");
     blk.mom_graph->zero_values();
     for (std::size_t e = 0; e < db.edges.size(); ++e) {
-      const auto& edge = db.edges[e];
-      const Real diff = mu * edge.coeff;
-      const Real f = blk.edge_flux[e];
-      const std::array<Real, 4> m{std::max(f, 0.0) + diff,
-                                  std::min(f, 0.0) - diff,
-                                  std::min(-f, 0.0) - diff,
-                                  std::max(-f, 0.0) + diff};
-      blk.mom_graph->add_edge(e, m, {0.0, 0.0}, cfg_.atomic_local_assembly);
+      blk.mom_graph->add_edge(
+          e, upwind_edge_matrix(blk.edge_flux[e], mu * db.edges[e].coeff),
+          {0.0, 0.0});
     }
     for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
       const auto i = static_cast<std::size_t>(node);
@@ -614,7 +604,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
         Real bc = cfg_.scalar_inflow;
         if (db.roles[i] == NodeRole::kFringe) bc = blk.scl[i];
         if (db.roles[i] == NodeRole::kWall || db.roles[i] == NodeRole::kHole) bc = 0.0;
-        blk.mom_graph->add_node(node, 1.0, bc, cfg_.atomic_local_assembly);
+        blk.mom_graph->add_node(node, 1.0, bc);
       } else {
         const Real vol = db.node_volume[i];
         const Real mass = rho * vol / cfg_.dt;
@@ -623,8 +613,7 @@ void Simulation::solve_scalar(MeshBlock& blk) {
                                   .dot(db.node_boundary_area[i]);
         // Shear-production-like source keeps the scalar field nontrivial.
         blk.mom_graph->add_node(node, mass + fb,
-                                mass * blk.scl_old[i] + cfg_.scalar_source * vol,
-                                cfg_.atomic_local_assembly);
+                                mass * blk.scl_old[i] + cfg_.scalar_source * vol);
       }
     }
     charge_per_rank(tracer, counts.edges, 30.0, 160.0);

@@ -24,7 +24,7 @@
 /// `static_cast<std::size_t>(id)` subscripts of plain vectors keep working.
 ///
 /// checked_narrow validates range and sentinel (-1 / any negative) and
-/// throws exw::Error; when EXW_INDEX_CHECKS=OFF (CMake option, default ON
+/// throws exw::Error; when EXW_CHECKS=OFF (CMake switch, default ON
 /// except in Release) it compiles to a bare cast with zero overhead.
 
 #include <compare>
@@ -195,7 +195,7 @@ constexpr rep_of_t<T> raw_value(T v) {
 /// integer), throwing exw::Error when the value is negative — which
 /// rejects the kInvalid* sentinels (-1): an invalid id must never be
 /// narrowed into another space — or does not fit `To`'s representation.
-/// With EXW_INDEX_CHECKS=OFF this is exactly one bare cast.
+/// With EXW_CHECKS=OFF this is exactly one bare cast.
 template <class To, class From>
 inline To checked_narrow(From from) {
   const auto raw = detail::raw_value(from);

@@ -46,16 +46,18 @@
 /// EXW_PURITY_ALLOW("comm-audit ledger"), the fourth allowlisted family
 /// (see perf/purity.hpp).
 ///
-/// Everything compiles away when EXW_COMM_AUDIT=OFF (the CMake option;
-/// default ON except Release): the recording macros expand to
+/// Everything compiles away when EXW_CHECKS=OFF (the CMake switch for
+/// all runtime check layers; default ON except Release): the recording
+/// macros expand to
 /// ((void)0), the site parameters vanish from the Transport/Runtime
 /// signatures, comm_audit.cpp is not compiled, and the inline stubs
 /// below keep report()/summary() callable — production builds carry
 /// zero overhead and bit-identical behavior.
 ///
-/// The static half of the discipline is tools/lint_comm.py (raw tag
-/// literals, collectives under rank-dependent branching, unordered-
-/// container iteration feeding FP accumulation) and the compile-time
+/// The static half of the discipline is the comm rule family of
+/// tools/lint.py (raw tag literals, collectives under rank-dependent
+/// branching, unordered-container iteration feeding FP accumulation)
+/// and the compile-time
 /// uniqueness check in par/tags.hpp. DESIGN.md §15 documents all of it.
 
 #include <string>
@@ -78,7 +80,7 @@
 
 namespace exw::par::comm_audit {
 
-/// True when the build carries the audit (EXW_COMM_AUDIT=ON).
+/// True when the build carries the audit (EXW_CHECKS=ON).
 constexpr bool enabled() { return EXW_COMM_AUDIT_ENABLED != 0; }
 
 /// Counters of everything the audit looked at (for tests and triage).
@@ -228,7 +230,7 @@ class Auditor;  // never defined; pointers to it stay null
 inline Report report() { return {}; }
 inline void reset() {}
 inline std::string summary() {
-  return "comm-audit: disabled (EXW_COMM_AUDIT=OFF)";
+  return "comm-audit: disabled (EXW_CHECKS=OFF)";
 }
 
 #define EXW_COMM_SITE_DECL

@@ -23,10 +23,11 @@
 /// the same (src, dst, tag) channel — the FIFO-determinism invariant —
 /// even when rank contexts cannot place the callers.
 ///
-/// Checks compile away entirely when EXW_CONTRACT_CHECKS=OFF (the CMake
-/// option; default ON except in Release builds): call sites go through
-/// the EXW_CONTRACT_CHECK macros, which expand to ((void)0) with the
-/// option off, so hot paths carry zero overhead in production builds.
+/// Checks compile away entirely when EXW_CHECKS=OFF (the CMake switch
+/// for all runtime check layers; default ON except in Release builds):
+/// call sites go through the EXW_CONTRACT_CHECK macros, which expand to
+/// ((void)0) with the checks off, so hot paths carry zero overhead in
+/// production builds.
 
 #include <string>
 
@@ -52,7 +53,7 @@
 
 namespace exw::par::contract {
 
-/// True when the build carries contract checks (EXW_CONTRACT_CHECKS=ON).
+/// True when the build carries contract checks (EXW_CHECKS=ON).
 constexpr bool enabled() { return EXW_CONTRACT_CHECKS_ENABLED != 0; }
 
 /// RAII thread-local rank context. ThreadPool::parallel_for wraps each

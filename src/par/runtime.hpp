@@ -39,7 +39,7 @@ namespace exw::par {
 class Transport {
  public:
   /// `audit` (optional, owned by Runtime) receives a ledger record for
-  /// every send/recv when EXW_COMM_AUDIT=ON; see par/comm_audit.hpp.
+  /// every send/recv when EXW_CHECKS=ON; see par/comm_audit.hpp.
   Transport(perf::Tracer* tracer, int nranks,
             comm_audit::Auditor* audit = nullptr);
 
@@ -207,7 +207,7 @@ class Transport {
 /// The simulated world handed to every distributed component.
 class Runtime {
  public:
-  /// With EXW_COMM_AUDIT=ON the constructor also creates the world's
+  /// With EXW_CHECKS=ON the constructor also creates the world's
   /// communication auditor, feeds it from the transport and collectives,
   /// and hooks it to the tracer's phase boundaries; the destructor runs
   /// a never-throwing teardown audit (see comm_audit.hpp).
@@ -228,7 +228,7 @@ class Runtime {
   /// the throw, from the destructor.
   void comm_audit_verify();
 
-  /// The world's auditor, for introspection; null when EXW_COMM_AUDIT=OFF.
+  /// The world's auditor, for introspection; null when EXW_CHECKS=OFF.
   comm_audit::Auditor* comm_auditor();
 
   /// Run fn(r) for every rank, potentially concurrently (one thread per

@@ -11,10 +11,10 @@
 ///
 /// Rules, machine-checked on two fronts:
 ///   * every tag is a named constant here — raw integer literals at
-///     send/recv call sites are rejected by tools/lint_comm.py;
+///     send/recv call sites are rejected by tools/lint.py;
 ///   * the registry below is compile-time checked for duplicates
 ///     (static_assert), so a collision cannot build;
-///   * with EXW_COMM_AUDIT=ON, Transport::send/recv additionally reject
+///   * with EXW_CHECKS=ON, Transport::send/recv additionally reject
 ///     unregistered tags at runtime (par/comm_audit.hpp), so a tag
 ///     cannot bypass the registry by arithmetic.
 ///
@@ -66,7 +66,7 @@ struct Entry {
 };
 
 /// Every tag in the tree. Adding a constant above without a row here
-/// leaves it unregistered: lint_comm.py accepts it (it is a named
+/// leaves it unregistered: tools/lint.py accepts it (it is a named
 /// constant) but the runtime audit rejects the first send using it, so
 /// the registry cannot silently go stale.
 inline constexpr Entry kRegistry[] = {

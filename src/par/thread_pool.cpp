@@ -60,10 +60,6 @@ ThreadPool& ThreadPool::instance() {
 }
 
 ThreadPool::ThreadPool() : impl_(new Impl), num_threads_(configured_threads()) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read before any worker spawns
-  if (std::getenv("EXW_SERIAL") != nullptr) {
-    g_serial.store(true, std::memory_order_relaxed);
-  }
   // The orchestrator participates in every region, so spawn one fewer.
   for (int t = 0; t < num_threads_ - 1; ++t) {
     impl_->workers.emplace_back([this] { worker_loop(); });

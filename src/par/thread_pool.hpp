@@ -27,11 +27,11 @@
 /// layers that carry the contract (Transport, Tracer, the per-rank
 /// accessors in linalg/assembly) reject cross-rank access with an
 /// exw::Error naming the offending ranks. See par/contract.hpp; checks
-/// compile away when EXW_CONTRACT_CHECKS=OFF.
+/// compile away when EXW_CHECKS=OFF.
 ///
 /// Sizing: EXW_NUM_THREADS if set, else std::thread::hardware_concurrency.
-/// EXW_SERIAL=1 (or set_serial_mode(true), the benches' --serial flag)
-/// forces every region inline for determinism debugging; the parallel
+/// EXW_NUM_THREADS=1 (or set_serial_mode(true), the benches' --serial
+/// flag) runs every region inline for determinism debugging; the parallel
 /// path is bitwise-identical anyway because each rank body is unchanged
 /// and all reductions happen on the orchestrator.
 
@@ -97,7 +97,7 @@ class ThreadPool {
 /// True while the calling thread is executing a parallel_for body.
 bool in_parallel_region();
 
-/// Force all regions inline (the --serial escape hatch; also EXW_SERIAL=1).
+/// Force all regions inline (the benches' --serial escape hatch).
 void set_serial_mode(bool serial);
 bool serial_mode();
 

@@ -35,16 +35,18 @@
 /// only touches relaxed atomics and those frames, so the layer is
 /// TSan-clean and never allocates from inside the allocator hooks.
 ///
-/// Everything compiles away when EXW_PURITY_CHECKS=OFF (the CMake
-/// option; default ON except Release, and forced OFF under
-/// EXW_SANITIZE=address/leak, whose runtimes own operator new): the
-/// macros expand to ((void)0) and no interposition is linked, so
-/// production builds are bit-for-bit what they were before this layer.
+/// Everything compiles away when EXW_CHECKS=OFF (the CMake switch for
+/// all runtime check layers; default ON except Release), and this layer
+/// alone is also compiled out under EXW_SANITIZE=address/leak, whose
+/// runtimes own operator new: the macros expand to ((void)0) and no
+/// interposition is linked, so production builds are bit-for-bit what
+/// they were before this layer.
 ///
-/// The static half of the discipline is tools/lint_warm_path.py: it
-/// walks the call graph from functions annotated EXW_WARM_FN and flags
-/// reachable sorts / searches / container growth / allocation, with a
-/// committed per-file ratchet. DESIGN.md §14 documents both halves.
+/// The static half of the discipline is the warm-path rule family of
+/// tools/lint.py: it walks the call graph from functions annotated
+/// EXW_WARM_FN and flags reachable sorts / searches / container growth /
+/// allocation, with a committed per-file ratchet. DESIGN.md §14
+/// documents both halves.
 
 #include <cstddef>
 #include <string>
@@ -56,13 +58,15 @@
 #endif
 
 /// Annotation for warm-path entry points. Expands to nothing; it is the
-/// marker tools/lint_warm_path.py uses as a call-graph root, and a signal
-/// to readers that the function body must stay a pure value pipeline.
+/// marker tools/lint.py's warm-path rules use as a call-graph root, and a
+/// signal to readers that the function body must stay a pure value
+/// pipeline.
 #define EXW_WARM_FN
 
 namespace exw::perf::purity {
 
-/// True when the build carries the interposition (EXW_PURITY_CHECKS=ON).
+/// True when the build carries the interposition (EXW_CHECKS=ON, and no
+/// allocator-owning sanitizer).
 constexpr bool enabled() { return EXW_PURITY_CHECKS_ENABLED != 0; }
 
 /// Process-wide allocation totals (all threads, regions or not).

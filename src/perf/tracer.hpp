@@ -77,7 +77,7 @@ struct PhaseStats {
   /// perf/purity.hpp). Like the PR 7 index/value byte split, this is a
   /// label, not a cost: modeled times ignore it, but it lets a bench or
   /// test assert "this phase allocated nothing" without interposing its
-  /// own operator new. Zero when EXW_PURITY_CHECKS=OFF.
+  /// own operator new. Zero when purity checks are compiled out.
   long long allocs = 0;
   double alloc_bytes = 0;
 

@@ -1,5 +1,5 @@
 // Tests for the three-stage assembly (paper §3): graph computation, local
-// fill (ordered vs atomic), global Algorithms 1-2, IJ interface.
+// fill, global Algorithms 1-2, IJ interface.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -84,16 +84,16 @@ sparse::Csr serial_reference(const BoxFixture& fx,
                                    std::move(tv));
 }
 
-void fill_laplacian(EquationGraph& graph, const BoxFixture& fx, bool atomic) {
+void fill_laplacian(EquationGraph& graph, const BoxFixture& fx) {
   graph.zero_values();
   for (std::size_t e = 0; e < fx.db.edges.size(); ++e) {
     const Real g = fx.db.edges[e].coeff;
-    graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.2}, atomic);
+    graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.2});
   }
   for (GlobalIndex node{0}; node < fx.db.num_nodes(); ++node) {
     graph.add_node(node,
                    fx.dirichlet[static_cast<std::size_t>(node)] ? 1.0 : 0.0,
-                   0.5, atomic);
+                   0.5);
   }
 }
 
@@ -106,7 +106,7 @@ TEST_P(AssemblyRankSweep, GlobalAssemblyMatchesSerialReference) {
   const MeshLayout layout =
       make_layout(fx.db, nranks, PartitionMethod::kGraph);
   EquationGraph graph(fx.db, layout, fx.dirichlet);
-  fill_laplacian(graph, fx, false);
+  fill_laplacian(graph, fx);
 
   std::vector<sparse::Coo> owned, shared;
   for (RankId r{0}; r.value() < nranks; ++r) {
@@ -130,7 +130,7 @@ TEST_P(AssemblyRankSweep, VectorAssemblyMatchesSerialReference) {
   BoxFixture fx(GlobalIndex{5});
   const MeshLayout layout = make_layout(fx.db, nranks, PartitionMethod::kRcb);
   EquationGraph graph(fx.db, layout, fx.dirichlet);
-  fill_laplacian(graph, fx, false);
+  fill_laplacian(graph, fx);
 
   std::vector<RealVector> rhs_owned;
   std::vector<sparse::CooVector> rhs_shared;
@@ -159,24 +159,6 @@ TEST_P(AssemblyRankSweep, VectorAssemblyMatchesSerialReference) {
   EXPECT_TRUE(rt.transport().drained());
 }
 
-TEST_P(AssemblyRankSweep, AtomicFillMatchesOrderedFill) {
-  const int nranks = GetParam();
-  par::Runtime rt(nranks);
-  BoxFixture fx(GlobalIndex{5});
-  const MeshLayout layout =
-      make_layout(fx.db, nranks, PartitionMethod::kGraph);
-  EquationGraph ordered(fx.db, layout, fx.dirichlet);
-  EquationGraph atomic(fx.db, layout, fx.dirichlet);
-  fill_laplacian(ordered, fx, false);
-  fill_laplacian(atomic, fx, true);
-  for (RankId r{0}; r.value() < nranks; ++r) {
-    EXPECT_LT(max_diff(ordered.rank(r).owned.vals, atomic.rank(r).owned.vals),
-              1e-12);
-    EXPECT_LT(max_diff(ordered.rank(r).rhs_owned, atomic.rank(r).rhs_owned),
-              1e-12);
-  }
-}
-
 TEST_P(AssemblyRankSweep, DirichletRowsAreIdentityOnly) {
   const int nranks = GetParam();
   par::Runtime rt(nranks);
@@ -184,7 +166,7 @@ TEST_P(AssemblyRankSweep, DirichletRowsAreIdentityOnly) {
   const MeshLayout layout =
       make_layout(fx.db, nranks, PartitionMethod::kGraph);
   EquationGraph graph(fx.db, layout, fx.dirichlet);
-  fill_laplacian(graph, fx, false);
+  fill_laplacian(graph, fx);
   std::vector<sparse::Coo> owned, shared;
   for (RankId r{0}; r.value() < nranks; ++r) {
     owned.push_back(graph.rank(r).owned);
@@ -209,7 +191,7 @@ TEST_P(AssemblyRankSweep, RhsOnlyRefillMatchesFullFill) {
   const MeshLayout layout =
       make_layout(fx.db, nranks, PartitionMethod::kGraph);
   EquationGraph graph(fx.db, layout, fx.dirichlet);
-  fill_laplacian(graph, fx, false);
+  fill_laplacian(graph, fx);
   std::vector<RealVector> ref_owned;
   for (RankId r{0}; r.value() < nranks; ++r) {
     ref_owned.push_back(graph.rank(r).rhs_owned);
@@ -236,12 +218,11 @@ void fill_scaled(EquationGraph& graph, const BoxFixture& fx, Real s) {
   graph.zero_values();
   for (std::size_t e = 0; e < fx.db.edges.size(); ++e) {
     const Real g = fx.db.edges[e].coeff * s;
-    graph.add_edge(e, {g, -g, -g, g}, {0.1 * s, -0.2 * s}, false);
+    graph.add_edge(e, {g, -g, -g, g}, {0.1 * s, -0.2 * s});
   }
   for (GlobalIndex node{0}; node < fx.db.num_nodes(); ++node) {
     const auto i = static_cast<std::size_t>(node);
-    graph.add_node(node, fx.dirichlet[i] ? 1.0 : 0.1 * s, 0.5 - 0.03 * s,
-                   false);
+    graph.add_node(node, fx.dirichlet[i] ? 1.0 : 0.1 * s, 0.5 - 0.03 * s);
   }
 }
 
@@ -262,7 +243,7 @@ TEST_P(AssemblyRankSweep, PlanRefillIsBitwiseIdenticalToColdAssembly) {
   EquationGraph graph(fx.db, layout, fx.dirichlet);
   const auto& rows = layout.numbering.rows;
 
-  fill_laplacian(graph, fx, false);
+  fill_laplacian(graph, fx);
   const auto views = system_views(graph);
   const auto span = std::span<const SystemView>(views);
   const auto plan = AssemblyPlan::build(rt, rows, rows, span);
@@ -315,8 +296,8 @@ TEST_P(AssemblyRankSweep, PlanRejectsMismatchedSystems) {
       make_layout(other.db, nranks, PartitionMethod::kGraph);
   EquationGraph graph(fx.db, layout, fx.dirichlet);
   EquationGraph other_graph(other.db, other_layout, other.dirichlet);
-  fill_laplacian(graph, fx, false);
-  fill_laplacian(other_graph, other, false);
+  fill_laplacian(graph, fx);
+  fill_laplacian(other_graph, other);
 
   const auto views = system_views(graph);
   const auto plan = AssemblyPlan::build(
@@ -357,7 +338,7 @@ TEST(AssemblyPlanCache, WarmRefillChargesNoSortKernels) {
       make_layout(fx.db, nranks, PartitionMethod::kGraph);
   EquationGraph graph(fx.db, layout, fx.dirichlet);
   const auto& rows = layout.numbering.rows;
-  fill_laplacian(graph, fx, false);
+  fill_laplacian(graph, fx);
   const auto views = system_views(graph);
   const auto span = std::span<const SystemView>(views);
   const auto plan = AssemblyPlan::build(rt, rows, rows, span);

@@ -195,24 +195,6 @@ TEST(Cfd, AssemblyPlanCacheIsBitwiseIdenticalToColdPath) {
   EXPECT_TRUE(rt_plan.transport().drained());
 }
 
-TEST(Cfd, AtomicAssemblyMatchesOrdered) {
-  auto sys_a = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
-  auto sys_b = mesh::make_turbine_case(mesh::TurbineCase::kSingle, 0.3);
-  par::Runtime rt_a(3), rt_b(3);
-  SimConfig cfg;
-  cfg.picard_iters = 1;
-  SimConfig cfg_atomic = cfg;
-  cfg_atomic.atomic_local_assembly = true;
-  Simulation sim_a(sys_a, cfg, rt_a);
-  Simulation sim_b(sys_b, cfg_atomic, rt_b);
-  sim_a.step();
-  sim_b.step();
-  // Single-threaded simulated ranks: atomic and ordered adds produce the
-  // same sums, so the physics must agree to solver tolerance.
-  EXPECT_NEAR(sim_a.velocity_rms(), sim_b.velocity_rms(), 1e-8);
-  EXPECT_NEAR(sim_a.scalar_mean(), sim_b.scalar_mean(), 1e-10);
-}
-
 TEST(Cfd, SolverStatsAccumulateAcrossPicardLoop) {
   // Regression: the per-equation counters used to be reset inside every
   // solve, so a step always reported solves == 1 regardless of the Picard

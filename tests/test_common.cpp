@@ -157,7 +157,7 @@ TEST(CheckedNarrow, RejectsSentinelsAndNegatives) {
 }
 #else
 TEST(CheckedNarrow, IsBareCastWhenChecksOff) {
-  // EXW_INDEX_CHECKS=OFF: the gateway compiles to a bare cast and never
+  // EXW_CHECKS=OFF: the gateway compiles to a bare cast and never
   // throws; value bits follow two's-complement truncation.
   EXPECT_NO_THROW(checked_narrow<LocalIndex>(kInvalidGlobal));
   EXPECT_EQ(checked_narrow<LocalIndex>(GlobalIndex{123}), LocalIndex{123});

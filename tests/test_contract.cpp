@@ -1,7 +1,7 @@
 // Tests for the machine-checked threading contract (par/contract.hpp):
 // violations of the rank-parallel rules must throw exw::Error with a
 // diagnostic naming the offending ranks, and the checks must compile to
-// nothing when EXW_CONTRACT_CHECKS=OFF.
+// nothing when EXW_CHECKS=OFF.
 #include <gtest/gtest.h>
 
 #include <atomic>

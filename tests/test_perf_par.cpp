@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "par/runtime.hpp"
@@ -305,7 +308,7 @@ TEST(Transport, HasMessageAndDrainedAfterRecycling) {
 
 TEST(Transport, SteadyStateRoundAllocatesNothing) {
   if (!perf::purity::enabled()) {
-    GTEST_SKIP() << "needs EXW_PURITY_CHECKS=ON";
+    GTEST_SKIP() << "needs purity checks (EXW_CHECKS=ON)";
   }
   // No comm auditor: its ledger is checking instrumentation that
   // allocates records of its own.
@@ -388,6 +391,30 @@ TEST(ThreadPool, SerialModeForcesInlineExecution) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
+}
+
+TEST(ThreadPool, EnvironmentSizesThePoolAndNeverForcesSerial) {
+  // EXW_NUM_THREADS is the pool's only environment knob: it sets the
+  // size, and no variable switches the pool off (only set_serial_mode
+  // does).
+  const int threads = par::ThreadPool::instance().num_threads();
+  ASSERT_FALSE(par::serial_mode());
+  if (const char* s = std::getenv("EXW_NUM_THREADS")) {
+    EXPECT_EQ(threads, std::atoi(s));
+  }
+  // One body per pool thread, each held until all have started: only a
+  // pool that really runs them concurrently gets every body in.
+  std::atomic<int> started{0};
+  par::parallel_for(threads, [&](int) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < threads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(started.load(), threads);
 }
 
 TEST(Transport, ConcurrentSendsFromRankBodiesAreSafe) {

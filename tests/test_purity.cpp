@@ -4,7 +4,7 @@
 // and the zero-allocation steady-state contract of every warm cache
 // (assembly-plan refill, AMG value refresh and reuse check, smoother
 // rebind, fused momentum kernels). Everything must also compile and
-// pass — vacuously — when EXW_PURITY_CHECKS=OFF.
+// pass — vacuously — when purity checks are compiled out.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -249,11 +249,11 @@ TEST(PurityWarmPath, AssemblyPlanRefillIsAllocationPure) {
   graph.zero_values();
   for (std::size_t e = 0; e < db.edges.size(); ++e) {
     const Real g = db.edges[e].coeff;
-    graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.2}, false);
+    graph.add_edge(e, {g, -g, -g, g}, {0.1, -0.2});
   }
   for (GlobalIndex node{0}; node < db.num_nodes(); ++node) {
     graph.add_node(node, dirichlet[static_cast<std::size_t>(node)] ? 1.0 : 0.0,
-                   0.5, false);
+                   0.5);
   }
   const auto& rows = layout.numbering.rows;
   const auto views = system_views(graph);
