@@ -95,7 +95,7 @@ int main() {
       solver::GmresOptions opts;
       opts.rel_tol = 1e-8;
       rt.tracer().push_phase("solve");
-      const auto stats = solver::gmres_solve(a, b, x, precond, opts);
+      const auto stats = solver::gmres_solve(a, b, x, precond, opts).lane[0];
       rt.tracer().pop_phase();
 
       const auto gpu = perf::MachineModel::summit_gpu();

@@ -1,5 +1,5 @@
-// Fused momentum-solve bench: sequential per-component GMRES (3 solves,
-// 3 structure reads per operator application) vs the fused 3-lane
+// Fused momentum-solve bench: sequential per-component GMRES (3 1-lane
+// solves, 3 structure reads per operator application) vs the fused 3-lane
 // multi-RHS path (one structure read, one batched allreduce payload per
 // orthogonalization; see DESIGN.md §13).
 //
@@ -177,7 +177,7 @@ int run() {
   opts.rel_tol = 1e-6;
   solver::SmootherPrecond m(a, amg::SmootherType::kSgs2, 2, 2);
 
-  // --- sequential: 3 scalar solves per repetition -----------------------
+  // --- sequential: 3 1-lane solves per repetition -----------------------
   rt.tracer().reset();
   rt.tracer().push_phase("seq");
   std::vector<int> seq_iters(kLanes, 0);
@@ -188,7 +188,7 @@ int run() {
       linalg::ParVector bc(rt, rows), xc(rt, rows);
       bc.scatter(bd[c]);
       xc.fill(0.0);
-      const auto st = solver::gmres_solve(a, bc, xc, m, opts);
+      const auto st = solver::gmres_solve(a, bc, xc, m, opts).lane[0];
       if (!st.converged) {
         std::fprintf(stderr, "FAIL: sequential lane %zu did not converge\n",
                      c);
@@ -208,15 +208,15 @@ int run() {
   std::vector<std::size_t> allocs_per_solve;
   const auto f0 = std::chrono::steady_clock::now();
   for (int it = 0; it < solves; ++it) {
-    linalg::ParMultiVector b(rt, rows, kLanes), x(rt, rows, kLanes);
+    linalg::ParVector b(rt, rows, kLanes), x(rt, rows, kLanes);
     for (std::size_t c = 0; c < kLanes; ++c) {
       linalg::ParVector bc(rt, rows);
       bc.scatter(bd[c]);
-      b.set_lane(c, bc);
+      b.lanes(c).copy_from(bc);
     }
     x.fill(0.0);
     const auto a0 = bench::alloc_count();
-    const auto st = solver::gmres_solve_multi(a, b, x, m, opts);
+    const auto st = solver::gmres_solve(a, b, x, m, opts);
     allocs_per_solve.push_back(
         static_cast<std::size_t>(bench::alloc_count() - a0));
     if (!st.all_converged()) {
@@ -225,11 +225,7 @@ int run() {
     }
     for (std::size_t c = 0; c < kLanes; ++c) {
       fused_iters[c] = st.lane[c].iterations;
-      if (it == 0) {
-        linalg::ParVector xc(rt, rows);
-        x.extract_lane(c, xc);
-        fused_x[c] = xc.gather();
-      }
+      if (it == 0) fused_x[c] = x.lanes(c).gather();
     }
   }
   const auto f1 = std::chrono::steady_clock::now();
@@ -267,9 +263,9 @@ int run() {
   // Non-allowlisted allocations inside the warm fused-kernel and
   // smoother-rebind purity regions. The contract pins this to zero.
   const long long warm_disallowed =
-      bench::disallowed_allocs("multivector-scale-lanes") +
-      bench::disallowed_allocs("multivector-axpy-lanes") +
-      bench::disallowed_allocs("multivector-dots") +
+      bench::disallowed_allocs("vector-scale-lanes") +
+      bench::disallowed_allocs("vector-axpy-lanes") +
+      bench::disallowed_allocs("vector-dots") +
       bench::disallowed_allocs("smoother-rebind");
 
   std::printf("{\n");

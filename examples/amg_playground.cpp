@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       solver::AmgPrecond precond(a, cfg);
       solver::GmresOptions opts;
       opts.rel_tol = 1e-8;
-      const auto stats = solver::gmres_solve(a, b, x, precond, opts);
+      const auto stats = solver::gmres_solve(a, b, x, precond, opts).lane[0];
 
       std::printf("%-10s %5d %6.2f %7d %7.2f %9.3f %7d\n", interp_name(interp),
                   agg, static_cast<double>(cfg.strong_threshold), h.num_levels(),

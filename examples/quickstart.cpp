@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   linalg::ParVector x(rt, rows);
   solver::GmresOptions opts;
   opts.rel_tol = 1e-8;
-  const auto stats = solver::gmres_solve(a, b, x, precond, opts);
+  const auto stats = solver::gmres_solve(a, b, x, precond, opts).lane[0];
   std::printf("GMRES: %d iterations, converged=%d, ||r||/||r0|| = %.3e\n",
               stats.iterations, stats.converged ? 1 : 0,
               stats.final_residual / stats.initial_residual);

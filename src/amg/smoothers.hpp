@@ -13,7 +13,7 @@
 /// two inner iterations often leads to rapid convergence in less than
 /// five preconditioned GMRES iterations."
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "amg/config.hpp"
@@ -48,23 +48,15 @@ class Smoother {
   /// structure must be unchanged.
   void refresh_values();
 
-  /// Apply `sweeps` relaxation steps to A x = b in place.
+  /// Apply `sweeps` relaxation steps to A x = b in place. Every lane of
+  /// x is relaxed as a 1-lane call would relax it alone (bitwise), with
+  /// the sparse structure of each sweep read once for all lanes.
   void apply(const linalg::ParVector& b, linalg::ParVector& x,
              int sweeps) const;
 
   /// z = M^-1 r with x starting from zero (preconditioner application).
   void apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
                   int sweeps) const;
-
-  /// Fused multi-RHS relaxation: every lane relaxed as apply() would
-  /// relax it alone (bitwise-identical per lane), with the sparse
-  /// structure of each sweep read once for all lanes. Jacobi/L1-Jacobi
-  /// and SGS2 have native fused sweeps; the remaining types fall back to
-  /// per-lane application through scratch vectors.
-  void apply_multi(const linalg::ParMultiVector& b, linalg::ParMultiVector& x,
-                   int sweeps) const;
-  void apply_zero_multi(const linalg::ParMultiVector& r,
-                        linalg::ParMultiVector& z, int sweeps) const;
 
  private:
   void sweep_jacobi(const linalg::ParVector& b, linalg::ParVector& x,
@@ -73,22 +65,12 @@ class Smoother {
   void sweep_two_stage(const linalg::ParVector& b, linalg::ParVector& x) const;
   void sweep_sgs2(const linalg::ParVector& b, linalg::ParVector& x) const;
 
-  void sweep_jacobi_multi(const linalg::ParMultiVector& b,
-                          linalg::ParMultiVector& x, bool l1) const;
-  void sweep_sgs2_multi(const linalg::ParMultiVector& b,
-                        linalg::ParMultiVector& x) const;
-
-  /// Inner Jacobi-Richardson approximation of (L+D)^-1 rhs (Eqs. 5-7);
-  /// `rhs` and the result are rank-local arrays.
-  void jr_lower(RankId r, const RealVector& rhs, RealVector& g) const;
-  /// Same for (D+U)^-1.
-  void jr_upper(RankId r, const RealVector& rhs, RealVector& g) const;
-  /// Fused-lane variants: rhs/g are SoA blocks of `lanes` planes of
-  /// rank-local size; L/U structure is read once per sweep for all lanes.
-  void jr_lower_multi(RankId r, const RealVector& rhs, std::size_t lanes,
-                      RealVector& g) const;
-  void jr_upper_multi(RankId r, const RealVector& rhs, std::size_t lanes,
-                      RealVector& g) const;
+  /// Inner Jacobi-Richardson approximation of (T+D)^-1 rhs (Eqs. 5-7) for
+  /// rank r's strictly triangular part T — ldu_.lower for the forward
+  /// stage, ldu_.upper for the backward one. `rhs` and `g` hold `lanes`
+  /// planes of rank-local size; T is streamed once per sweep for all.
+  void jr_solve(RankId r, const sparse::Csr& tri, std::span<const Real> rhs,
+                std::size_t lanes, RealVector& g) const;
 
   const linalg::ParCsr* a_;
   SmootherType type_;

@@ -244,8 +244,8 @@ linalg::ParVector assemble_vector(par::Runtime& rt,
     const auto& own = *systems[static_cast<std::size_t>(r)].rhs_owned;
     EXW_REQUIRE(own.size() == static_cast<std::size_t>(rows.local_size(r)),
                 "owned RHS must be dense over local rows");
-    auto& local = rhs.local(r);
-    local = own;
+    const auto local = rhs.local(r);
+    std::copy(own.begin(), own.end(), local.begin());
 
     // Algorithm 2 lines 4-5: sort/reduce *only the received values*
     // (n_recv << n_own, the paper's key optimization).

@@ -1,7 +1,6 @@
 #include "assembly/layout.hpp"
 
 #include "common/error.hpp"
-#include "linalg/multivector.hpp"
 #include "linalg/parvector.hpp"
 #include "part/graph_partition.hpp"
 #include "part/rcb.hpp"
@@ -9,38 +8,20 @@
 namespace exw::assembly {
 
 void field_to_rows(const MeshLayout& layout, const RealVector& field,
-                   linalg::ParVector& x) {
+                   linalg::ParVector& x, std::size_t lane) {
   EXW_REQUIRE(field.size() == layout.numbering.old_to_new.size(),
               "field size does not match layout node count");
   for (std::size_t i = 0; i < field.size(); ++i) {
-    x.at(layout.row_of(checked_narrow<GlobalIndex>(i))) = field[i];
+    x.at(layout.row_of(checked_narrow<GlobalIndex>(i)), lane) = field[i];
   }
 }
 
 void rows_to_field(const MeshLayout& layout, const linalg::ParVector& x,
-                   RealVector& field) {
+                   RealVector& field, std::size_t lane) {
   EXW_REQUIRE(field.size() == layout.numbering.old_to_new.size(),
               "field size does not match layout node count");
   for (std::size_t i = 0; i < field.size(); ++i) {
-    field[i] = x.at(layout.row_of(checked_narrow<GlobalIndex>(i)));
-  }
-}
-
-void field_to_lane(const MeshLayout& layout, const RealVector& field,
-                   linalg::ParMultiVector& x, std::size_t lane) {
-  EXW_REQUIRE(field.size() == layout.numbering.old_to_new.size(),
-              "field size does not match layout node count");
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    x.at(lane, layout.row_of(checked_narrow<GlobalIndex>(i))) = field[i];
-  }
-}
-
-void lane_to_field(const MeshLayout& layout, const linalg::ParMultiVector& x,
-                   std::size_t lane, RealVector& field) {
-  EXW_REQUIRE(field.size() == layout.numbering.old_to_new.size(),
-              "field size does not match layout node count");
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    field[i] = x.at(lane, layout.row_of(checked_narrow<GlobalIndex>(i)));
+    field[i] = x.at(layout.row_of(checked_narrow<GlobalIndex>(i)), lane);
   }
 }
 

@@ -19,7 +19,6 @@
 
 namespace exw::linalg {
 class ParVector;
-class ParMultiVector;
 }  // namespace exw::linalg
 
 namespace exw::assembly {
@@ -48,20 +47,15 @@ MeshLayout make_layout(const mesh::MeshDB& db, int nranks,
 MeshLayout make_layout_from_parts(const mesh::MeshDB& db,
                                   std::vector<RankId> parts, int nranks);
 
-/// Gather a nodal field into the layout's distributed row vector:
-/// x[row_of(node)] = field[node]. Host-side glue between the physics
-/// fields (mesh node order) and solver vectors (renumbered row order);
-/// uncharged, like the per-element ParVector accessors it wraps.
+/// Gather a nodal field into one lane of the layout's distributed row
+/// vector: x[row_of(node)] = field[node]. Host-side glue between the
+/// physics fields (mesh node order) and solver vectors (renumbered row
+/// order); uncharged, like the per-element ParVector accessors it wraps.
 void field_to_rows(const MeshLayout& layout, const RealVector& field,
-                   linalg::ParVector& x);
-/// Scatter a distributed row vector back: field[node] = x[row_of(node)].
+                   linalg::ParVector& x, std::size_t lane = 0);
+/// Scatter one lane of a distributed row vector back: field[node] =
+/// x[row_of(node)].
 void rows_to_field(const MeshLayout& layout, const linalg::ParVector& x,
-                   RealVector& field);
-/// Gather a nodal field into one lane of a multi-vector.
-void field_to_lane(const MeshLayout& layout, const RealVector& field,
-                   linalg::ParMultiVector& x, std::size_t lane);
-/// Scatter one lane of a multi-vector back into a nodal field.
-void lane_to_field(const MeshLayout& layout, const linalg::ParMultiVector& x,
-                   std::size_t lane, RealVector& field);
+                   RealVector& field, std::size_t lane = 0);
 
 }  // namespace exw::assembly

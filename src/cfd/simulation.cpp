@@ -382,24 +382,24 @@ void Simulation::solve_momentum(MeshBlock& blk) {
   };
 
   if (cfg_.use_fused_momentum) {
-    // Fused path: one 3-lane multi-RHS GMRES reads the matrix's index
-    // structure once per fused SpMV / smoother sweep for all components
-    // and batches the reduction payloads into one allreduce each —
-    // bitwise-identical per component to the sequential branch below.
-    linalg::ParMultiVector b(*rt_, rows, 3);
-    linalg::ParMultiVector x(*rt_, rows, 3);
-    assembly::field_to_lane(blk.layout, blk.u, x, 0);
-    assembly::field_to_lane(blk.layout, blk.v, x, 1);
-    assembly::field_to_lane(blk.layout, blk.w, x, 2);
-    b.set_lane(0, rhs);
+    // Fused path: one 3-lane GMRES reads the matrix's index structure
+    // once per SpMV / smoother sweep for all components and batches the
+    // reduction payloads into one allreduce each — bitwise-identical per
+    // component to the sequential 1-lane solves below.
+    linalg::ParVector b(*rt_, rows, 3);
+    linalg::ParVector x(*rt_, rows, 3);
+    assembly::field_to_rows(blk.layout, blk.u, x, 0);
+    assembly::field_to_rows(blk.layout, blk.v, x, 1);
+    assembly::field_to_rows(blk.layout, blk.w, x, 2);
+    b.lanes(0).copy_from(rhs);
     for (std::size_t component = 1; component < 3; ++component) {
       assemble_component_rhs(component);
-      b.set_lane(component, rhs);
+      b.lanes(component).copy_from(rhs);
     }
     solver::MultiSolveStats st;
     {
       perf::PhaseScope ph(tracer, "solve");
-      st = solver::gmres_solve_multi(a, b, x, *precond, cfg_.momentum_gmres);
+      st = solver::gmres_solve(a, b, x, *precond, cfg_.momentum_gmres);
     }
     for (const auto& lane : st.lane) {
       mom_stats_.gmres_iterations += lane.iterations;
@@ -407,9 +407,9 @@ void Simulation::solve_momentum(MeshBlock& blk) {
       mom_stats_.final_residual = lane.final_residual;
       if (!lane.converged) mom_stats_.unconverged_solves += 1;
     }
-    assembly::lane_to_field(blk.layout, x, 0, blk.u);
-    assembly::lane_to_field(blk.layout, x, 1, blk.v);
-    assembly::lane_to_field(blk.layout, x, 2, blk.w);
+    assembly::rows_to_field(blk.layout, x, blk.u, 0);
+    assembly::rows_to_field(blk.layout, x, blk.v, 1);
+    assembly::rows_to_field(blk.layout, x, blk.w, 2);
     return;
   }
 

@@ -30,7 +30,6 @@
 #include "assembly/graph.hpp"
 #include "assembly/plan.hpp"
 #include "cfd/config.hpp"
-#include "linalg/multivector.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "mesh/generators.hpp"

@@ -17,8 +17,6 @@
 
 #include "common/precision.hpp"
 #include "common/types.hpp"
-#include "linalg/multivector.hpp"
-#include "linalg/parmatrix.hpp"
 #include "linalg/parvector.hpp"
 #include "par/partition.hpp"
 #include "par/runtime.hpp"
@@ -61,7 +59,7 @@ struct CommPkg {
   std::vector<std::vector<Recv>> recvs;  ///< [rank], ascending src
 };
 
-class ParCsr final : public ParMatrix {
+class ParCsr {
  public:
   ParCsr() = default;
 
@@ -75,12 +73,11 @@ class ParCsr final : public ParMatrix {
                             const par::RowPartition& rows,
                             const par::RowPartition& cols);
 
-  const char* format_name() const override { return "csr"; }
-  const par::RowPartition& rows() const override { return rows_; }
-  const par::RowPartition& cols() const override { return cols_; }
-  int nranks() const override { return rows_.nranks(); }
-  GlobalIndex global_rows() const override { return rows_.global_size(); }
-  GlobalIndex global_cols() const override { return cols_.global_size(); }
+  const par::RowPartition& rows() const { return rows_; }
+  const par::RowPartition& cols() const { return cols_; }
+  int nranks() const { return rows_.nranks(); }
+  GlobalIndex global_rows() const { return rows_.global_size(); }
+  GlobalIndex global_cols() const { return cols_.global_size(); }
 
   const RankBlock& block(RankId r) const {
     return blocks_[static_cast<std::size_t>(r)];
@@ -121,47 +118,36 @@ class ParCsr final : public ParMatrix {
   void copy_demoted_values_from(const ParCsr& src);
 
   GlobalIndex nnz_of_rank(RankId r) const;
-  GlobalIndex global_nnz() const override;
+  GlobalIndex global_nnz() const;
   /// Per-rank nonzero counts — the quantity of Figs. 5 and 10.
   std::vector<double> nnz_per_rank() const;
 
-  /// Fetch halo values of `x` (laid out per rank in col_map order),
-  /// charging pack kernels and one message per neighbor pair.
+  /// Fetch the halo values of every lane of `x`: per rank one SoA
+  /// buffer of size ncomp * col_map.size() (lane c's halo values occupy
+  /// the plane [c*m, (c+1)*m), in col_map order), charging pack kernels
+  /// and one message per neighbor pair carrying every lane's payload.
   std::vector<RealVector> halo_exchange(const ParVector& x) const;
 
-  /// Fused halo fetch for all lanes of `x`: per rank one SoA buffer of
-  /// size ncomp * col_map.size() (lane c's halo values occupy the plane
-  /// [c*m, (c+1)*m)), one message per neighbor pair carrying every
-  /// lane's payload — the batched-comm half of the fused SpMV.
-  std::vector<RealVector> halo_exchange_multi(const ParMultiVector& x) const;
-
-  /// y = alpha * A * x + beta * y (x over cols(), y over rows()).
+  /// Lane c of y gets alpha * A * (lane c of x) + beta * (lane c of y)
+  /// (x over cols(), y over rows()). The index structure is read once
+  /// for all lanes; each lane is bitwise what a 1-lane call computes.
   void matvec(const ParVector& x, ParVector& y, Real alpha = 1.0,
-              Real beta = 0.0) const override;
+              Real beta = 0.0) const;
 
-  /// r = b - A * x.
-  void residual(const ParVector& b, const ParVector& x,
-                ParVector& r) const override;
-
-  void matvec_multi(const ParMultiVector& x, ParMultiVector& y,
-                    Real alpha = 1.0, Real beta = 0.0) const override;
-
-  void residual_multi(const ParMultiVector& b, const ParMultiVector& x,
-                      ParMultiVector& r) const override;
+  /// r = b - A * x, lane by lane.
+  void residual(const ParVector& b, const ParVector& x, ParVector& r) const;
 
   /// y = alpha * A^T * x + beta * y (x over rows(), y over cols()).
   /// Off-diagonal contributions are sent to the owning ranks — the
   /// reverse of the halo pattern; used for AMG restriction with R = P^T.
+  /// 1-lane vectors only.
   void matvec_transpose(const ParVector& x, ParVector& y, Real alpha = 1.0,
                         Real beta = 0.0) const;
-
-  /// Per-rank diagonal of the diag block.
-  std::vector<RealVector> diagonals() const override;
 
   /// Reassemble the full matrix on one "rank" (tests only).
   sparse::Csr to_serial() const;
 
-  par::Runtime& runtime() const override { return *rt_; }
+  par::Runtime& runtime() const { return *rt_; }
 
  private:
   void build_comm_pkg();

@@ -23,8 +23,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/multivector.hpp"
-#include "linalg/parmatrix.hpp"
+#include "common/error.hpp"
+#include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "solver/precond.hpp"
 
@@ -50,16 +50,14 @@ struct SolveStats {
   bool converged = false;
 };
 
-/// Solve A x = b with right preconditioning (x holds the initial guess).
-/// `a` is consumed through the storage-format seam (linalg::ParMatrix),
-/// so any backend exposing matvec/residual can drive the solver.
-SolveStats gmres_solve(const linalg::ParMatrix& a, const linalg::ParVector& b,
-                       linalg::ParVector& x, Preconditioner& m,
-                       const GmresOptions& opts);
-
-/// Per-lane outcome of a fused multi-RHS solve.
+/// Per-lane outcome of a solve (one entry per lane of x). A 1-lane
+/// result converts to its lane's SolveStats.
 struct MultiSolveStats {
   std::vector<SolveStats> lane;
+  operator SolveStats() const {  // NOLINT(google-explicit-constructor)
+    EXW_REQUIRE(lane.size() == 1, "a multi-lane result has no single stats");
+    return lane.front();
+  }
   bool all_converged() const {
     for (const auto& s : lane) {
       if (!s.converged) return false;
@@ -68,19 +66,18 @@ struct MultiSolveStats {
   }
 };
 
-/// Fused multi-RHS GMRES: solve A x_c = b_c for every lane of `x`
-/// simultaneously. Lanes share the operator (one fused SpMV /
+/// Solve A x_c = b_c with right preconditioning for every lane c of x (x
+/// holds the initial guess). Lanes share the operator — one fused SpMV /
 /// preconditioner application reads the sparse structure once for all
-/// lanes) and their reduction payloads ride one batched allreduce per
-/// orthogonalization — but each lane's convergence is tracked
-/// independently, and every lane's iterates are bitwise-identical to a
-/// scalar gmres_solve on that lane alone (the rank-ordered element-wise
-/// reductions of par::Runtime make the batched collectives exact).
-/// Lanes that converge drop out of the fused work via lane masks; lanes
-/// whose true-residual confirmation fails rejoin at the next restart.
-MultiSolveStats gmres_solve_multi(const linalg::ParMatrix& a,
-                                  const linalg::ParMultiVector& b,
-                                  linalg::ParMultiVector& x, Preconditioner& m,
-                                  const GmresOptions& opts);
+/// lanes — and their reduction payloads ride one batched allreduce per
+/// orthogonalization, but each lane's convergence is tracked on its own,
+/// and every lane's iterates are bitwise-identical to a 1-lane solve on
+/// that lane alone (the rank-ordered element-wise reductions of
+/// par::Runtime make the batched collectives exact). Lanes that converge
+/// drop out of the fused work via lane masks; lanes whose true-residual
+/// confirmation fails rejoin at the next restart.
+MultiSolveStats gmres_solve(const linalg::ParCsr& a, const linalg::ParVector& b,
+                            linalg::ParVector& x, Preconditioner& m,
+                            const GmresOptions& opts);
 
 }  // namespace exw::solver

@@ -20,32 +20,14 @@ namespace exw::solver {
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  /// z = M^-1 r.
+  /// z_c = M^-1 r_c for every lane c of r.
   virtual void apply(const linalg::ParVector& r, linalg::ParVector& z) = 0;
-
-  /// Lane-wise z_c = M^-1 r_c. The default routes every lane through
-  /// apply() via scratch vectors — correct for any preconditioner;
-  /// implementations with fused kernels (SmootherPrecond) override it.
-  virtual void apply_multi(const linalg::ParMultiVector& r,
-                           linalg::ParMultiVector& z) {
-    linalg::ParVector rl(r.runtime(), r.rows());
-    linalg::ParVector zl(r.runtime(), r.rows());
-    for (std::size_t c = 0; c < r.ncomp(); ++c) {
-      r.extract_lane(c, rl);
-      apply(rl, zl);
-      z.set_lane(c, zl);
-    }
-  }
 };
 
 /// No preconditioning (z = r).
 class IdentityPrecond final : public Preconditioner {
  public:
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
-    z.copy_from(r);
-  }
-  void apply_multi(const linalg::ParMultiVector& r,
-                   linalg::ParMultiVector& z) override {
     z.copy_from(r);
   }
 };
@@ -60,7 +42,8 @@ class IdentityPrecond final : public Preconditioner {
 /// V-cycle runs on FP32 storage, and the correction promotes back into
 /// the caller's FP64 vector. The outer Krylov space never sees rounded
 /// storage. Work inside apply() lands in a nested "precond" phase so
-/// benches can split preconditioner traffic from the outer solve.
+/// benches can split preconditioner traffic from the outer solve. The
+/// V-cycle's restriction runs on 1-lane vectors, so r and z have 1 lane.
 class AmgPrecond final : public Preconditioner {
  public:
   AmgPrecond(const linalg::ParCsr& a, const amg::AmgConfig& cfg)
@@ -73,6 +56,7 @@ class AmgPrecond final : public Preconditioner {
   explicit AmgPrecond(amg::AmgHierarchy& h) : h_(&h) { init_mixed_scratch(); }
 
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
+    EXW_REQUIRE(r.ncomp() == 1, "an AMG V-cycle runs on 1-lane vectors");
     perf::PhaseScope ph(r.runtime().tracer(), "precond");
     if (rb_) {
       // FP64 -> FP32 demote at the boundary (charged by copy_from), FP32
@@ -120,7 +104,8 @@ class AmgPrecond final : public Preconditioner {
 /// matrix: the smoother is built on (and refreshed from) the twin, its
 /// scratch streams price at 4 bytes/value, and apply() demotes/promotes
 /// at the boundary exactly like AmgPrecond. The caller's matrix stays
-/// FP64 — it is still the operator of the outer Krylov solve.
+/// FP64 — it is still the operator of the outer Krylov solve. Every lane
+/// of r is relaxed in the same fused sweeps.
 class SmootherPrecond final : public Preconditioner {
  public:
   SmootherPrecond(const linalg::ParCsr& a, amg::SmootherType type,
@@ -131,43 +116,28 @@ class SmootherPrecond final : public Preconditioner {
                   /*jacobi_weight=*/1.0),
         outer_(outer_sweeps) {
     if (prec_ == Precision::kF32) {
-      rb_ = std::make_unique<linalg::ParVector>(a.runtime(), a.rows());
-      zb_ = std::make_unique<linalg::ParVector>(a.runtime(), a.rows());
-      rb_->set_value_precision(Precision::kF32);
-      zb_->set_value_precision(Precision::kF32);
+      grow_scratch(1);
     }
     charge(/*rebuild=*/true);
   }
 
   void apply(const linalg::ParVector& r, linalg::ParVector& z) override {
     perf::PhaseScope ph(a_->runtime().tracer(), "precond");
-    if (rb_) {
-      rb_->copy_from(r);
-      smoother_.apply_zero(*rb_, *zb_, outer_);
-      z.copy_from(*zb_);
+    if (prec_ == Precision::kF32) {
+      // The FP32 scratch grows to the widest lane count seen; narrower
+      // applications (a fused solve's per-lane epilogue) use its leading
+      // lanes in place.
+      if (rb_.ncomp() < r.ncomp()) {
+        grow_scratch(r.ncomp());
+      }
+      linalg::ParVector rb = rb_.lanes(0, r.ncomp());
+      linalg::ParVector zb = zb_.lanes(0, r.ncomp());
+      rb.copy_from(r);
+      smoother_.apply_zero(rb, zb, outer_);
+      z.copy_from(zb);
       return;
     }
     smoother_.apply_zero(r, z, outer_);
-  }
-
-  void apply_multi(const linalg::ParMultiVector& r,
-                   linalg::ParMultiVector& z) override {
-    perf::PhaseScope ph(a_->runtime().tracer(), "precond");
-    if (prec_ == Precision::kF32) {
-      if (!rbm_ || rbm_->ncomp() != r.ncomp()) {
-        rbm_ = std::make_unique<linalg::ParMultiVector>(a_->runtime(),
-                                                        a_->rows(), r.ncomp());
-        zbm_ = std::make_unique<linalg::ParMultiVector>(a_->runtime(),
-                                                        a_->rows(), r.ncomp());
-        rbm_->set_value_precision(Precision::kF32);
-        zbm_->set_value_precision(Precision::kF32);
-      }
-      rbm_->copy_from(r);
-      smoother_.apply_zero_multi(*rbm_, *zbm_, outer_);
-      z.copy_from(*zbm_);
-      return;
-    }
-    smoother_.apply_zero_multi(r, z, outer_);
   }
 
   /// Re-read the matrix's current values into the existing L/D/U split
@@ -190,6 +160,13 @@ class SmootherPrecond final : public Preconditioner {
     linalg::ParCsr twin = a;
     twin.demote_values();
     return twin;
+  }
+
+  void grow_scratch(std::size_t lanes) {
+    rb_ = linalg::ParVector(a_->runtime(), a_->rows(), lanes);
+    zb_ = linalg::ParVector(a_->runtime(), a_->rows(), lanes);
+    rb_.set_value_precision(Precision::kF32);
+    zb_.set_value_precision(Precision::kF32);
   }
 
   void charge(bool rebuild) {
@@ -224,8 +201,9 @@ class SmootherPrecond final : public Preconditioner {
   linalg::ParCsr a32_;
   amg::Smoother smoother_;
   int outer_;
-  std::unique_ptr<linalg::ParVector> rb_, zb_;
-  std::unique_ptr<linalg::ParMultiVector> rbm_, zbm_;
+  /// FP32 boundary scratch (residual in, correction out); unused in the
+  /// FP64 configuration.
+  linalg::ParVector rb_, zb_;
 };
 
 }  // namespace exw::solver

@@ -16,11 +16,30 @@
 /// compile.
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace exw::sparse {
+
+/// Largest lane count a fused kernel accepts (a momentum solve runs 3).
+inline constexpr std::size_t kMaxLanes = 8;
+
+/// Run fn.template operator()<L>() with L == lanes, so a kernel body sees
+/// its lane count as a compile-time constant: per-lane accumulators are
+/// fixed-size registers, and the 1-lane instance compiles to the plain
+/// scalar loop.
+template <typename Fn>
+void with_lane_count(std::size_t lanes, Fn&& fn) {
+  EXW_REQUIRE(lanes >= 1 && lanes <= kMaxLanes, "lane count out of range");
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (void)((lanes == I + 1 ? (fn.template operator()<I + 1>(), true)
+                           : false) ||
+           ...);
+  }(std::make_index_sequence<kMaxLanes>{});
+}
 
 class Csr {
  public:
@@ -67,19 +86,13 @@ class Csr {
   std::vector<LocalIndex>& cols_vec() { return cols_; }
   std::vector<Real>& vals_vec() { return vals_; }
 
-  /// y = alpha*A*x + beta*y.
+  /// y_c = alpha*A*x_c + beta*y_c for each lane c in [0, lanes), where x
+  /// and y each hold `lanes` equal-length planes (x_c is the c-th plane
+  /// of x). The row structure (row_ptr/cols) is read once per row for
+  /// all lanes; every lane accumulates in entry order, so lane c's
+  /// result is bitwise-identical to a 1-lane call on that plane alone.
   void spmv(std::span<const Real> x, std::span<Real> y, Real alpha = 1.0,
-            Real beta = 0.0) const;
-
-  /// Fused multi-RHS SpMV: for lane c in [0, lanes), treat
-  /// x[c*x_stride ..] and y[c*y_stride ..] as one vector pair and apply
-  /// y_c = alpha*A*x_c + beta*y_c. Row structure (row_ptr/cols) is read
-  /// once per row for all lanes; per-lane arithmetic (accumulation
-  /// order, beta handling) is exactly spmv's, so each lane's result is
-  /// bitwise-identical to a per-lane spmv call.
-  void spmv_multi(std::span<const Real> x, std::size_t x_stride,
-                  std::span<Real> y, std::size_t y_stride, std::size_t lanes,
-                  Real alpha = 1.0, Real beta = 0.0) const;
+            Real beta = 0.0, std::size_t lanes = 1) const;
 
   /// y += A^T * x (used for restriction when R = P^T).
   void spmv_transpose(std::span<const Real> x, std::span<Real> y,

@@ -273,7 +273,10 @@ TEST_P(AssemblyRankSweep, PlanRefillIsBitwiseIdenticalToColdAssembly) {
         expect_bitwise(
             RealVector(wb.offd.vals().begin(), wb.offd.vals().end()),
             RealVector(cb.offd.vals().begin(), cb.offd.vals().end()));
-        expect_bitwise(warm_b.local(r), cold_b.local(r));
+        const auto wl = warm_b.local(r);
+        const auto cl = cold_b.local(r);
+        expect_bitwise(RealVector(wl.begin(), wl.end()),
+                       RealVector(cl.begin(), cl.end()));
       }
     }
     // The sparse-add variant reduces in a different order; values agree

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "linalg/multivector.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "par/thread_pool.hpp"
@@ -188,7 +187,7 @@ TEST(ParCsr, MatvecChargesHaloMessages) {
       ParCsr pa = ParCsr::from_serial(rt, a, rows, rows);
       if (prec == Precision::kF32) pa.demote_values();
       ParVector x(rt, rows), y(rt, rows);
-      ParMultiVector xm(rt, rows, kLanes), ym(rt, rows, kLanes);
+      ParVector xm(rt, rows, kLanes), ym(rt, rows, kLanes);
       x.fill(1.0);
       xm.fill(1.0);
       x.set_value_precision(prec);
@@ -224,8 +223,8 @@ TEST(ParCsr, MatvecChargesHaloMessages) {
       expect_ledger("matvec", 1);
       pa.matvec_transpose(x, y);
       expect_ledger("matvec_transpose", 1);
-      pa.matvec_multi(xm, ym);
-      expect_ledger("matvec_multi", kLanes);
+      pa.matvec(xm, ym);
+      expect_ledger("matvec, 3 lanes", kLanes);
     }
   }
   par::set_serial_mode(was_serial);

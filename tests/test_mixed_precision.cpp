@@ -189,7 +189,7 @@ TEST(MixedPrecond, AtMostOneExtraGmresIteration) {
     // staying in the regime where an FP32 preconditioner is iteration-
     // neutral (at much tighter tolerances it legitimately costs more).
     opts.rel_tol = 1e-6;
-    const auto st = solver::gmres_solve(a, b, x, m, opts);
+    const auto st = solver::gmres_solve(a, b, x, m, opts).lane[0];
     EXPECT_TRUE(st.converged);
     return st.iterations;
   };

@@ -17,7 +17,6 @@
 #include "assembly/graph.hpp"
 #include "assembly/layout.hpp"
 #include "assembly/plan.hpp"
-#include "linalg/multivector.hpp"
 #include "linalg/parcsr.hpp"
 #include "linalg/parvector.hpp"
 #include "mesh/meshdb.hpp"
@@ -329,26 +328,26 @@ TEST(PurityWarmPath, SmootherRebindIsAllocationPure) {
 TEST(PurityWarmPath, FusedMomentumKernelsAreAllocationPure) {
   par::Runtime rt(4);
   const auto a = distribute(rt, random_spd_ish(LocalIndex{160}, 5, 47));
-  linalg::ParMultiVector b(rt, a.rows(), 3), x(rt, a.rows(), 3);
+  linalg::ParVector b(rt, a.rows(), 3), x(rt, a.rows(), 3);
   for (std::size_t c = 0; c < 3; ++c) {
     linalg::ParVector bc(rt, a.rows());
     bc.scatter(random_vector(160, 11 + c));
-    b.set_lane(c, bc);
+    b.lanes(c).copy_from(bc);
   }
   solver::SmootherPrecond m(a, amg::SmootherType::kSgs2, 1, 1);
   solver::GmresOptions opts;
   opts.rel_tol = 1e-8;
 
   x.fill(0.0);
-  ASSERT_TRUE(solver::gmres_solve_multi(a, b, x, m, opts).all_converged());
+  ASSERT_TRUE(solver::gmres_solve(a, b, x, m, opts).all_converged());
   purity::reset();
   FatalModeGuard guard;
   purity::set_fatal(true);
   x.fill(0.0);
-  ASSERT_TRUE(solver::gmres_solve_multi(a, b, x, m, opts).all_converged());
-  EXPECT_EQ(purity::region("multivector-scale-lanes").allocs, 0);
-  EXPECT_EQ(purity::region("multivector-axpy-lanes").allocs, 0);
-  EXPECT_EQ(purity::region("multivector-dots").allocs, 0);
+  ASSERT_TRUE(solver::gmres_solve(a, b, x, m, opts).all_converged());
+  EXPECT_EQ(purity::region("vector-scale-lanes").allocs, 0);
+  EXPECT_EQ(purity::region("vector-axpy-lanes").allocs, 0);
+  EXPECT_EQ(purity::region("vector-dots").allocs, 0);
 }
 
 TEST(PurityWarmPath, TracerFoldsAllocDeltasIntoPhases) {
