@@ -116,19 +116,13 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
 
 CacheAction HierarchyCache::update(const linalg::ParCsr& a,
                                    const AmgConfig& cfg,
-                                   std::uint64_t generation,
-                                   int rebuild_lag, double stagnation_ratio) {
+                                   std::uint64_t generation) {
   if (stale(generation, cfg)) {
     rebuild(a, cfg, generation, /*freeze=*/true);
     return CacheAction::kRebuild;
   }
   if (matches(a)) {
-    ++reuses_;
     return CacheAction::kReuse;
-  }
-  if (solves_since_rebuild_ >= rebuild_lag || stagnating(stagnation_ratio)) {
-    rebuild(a, cfg, generation, /*freeze=*/true);
-    return CacheAction::kRebuild;
   }
   refresh(a);
   return CacheAction::kRefresh;
@@ -140,10 +134,6 @@ void HierarchyCache::rebuild(const linalg::ParCsr& a, const AmgConfig& cfg,
   cfg_ = cfg;
   generation_ = generation;
   valid_ = true;
-  ++rebuilds_;
-  solves_since_rebuild_ = 0;
-  baseline_iters_ = -1;
-  last_iters_ = -1;
 
   snapshot_.clear();
   mismatch_.clear();
@@ -167,7 +157,6 @@ void HierarchyCache::refresh(const linalg::ParCsr& a) {
               "hierarchy cache: refresh without a valid rebuild");
   hierarchy_->refresh_values(a);
   store_snapshot(a);
-  ++refreshes_;
 }
 
 EXW_WARM_FN
@@ -194,22 +183,6 @@ void HierarchyCache::store_snapshot(const linalg::ParCsr& a) {
     gather_flat(a.block(r), snap);
     detail::charge_value_stream(a.runtime().tracer(), r, snap.size());
   });
-}
-
-void HierarchyCache::note_solve(int iterations) {
-  ++solves_since_rebuild_;
-  last_iters_ = iterations;
-  if (baseline_iters_ < 0) {
-    baseline_iters_ = iterations;  // first solve after a rebuild
-  }
-}
-
-bool HierarchyCache::stagnating(double ratio) const {
-  if (baseline_iters_ < 0 || last_iters_ < 0) {
-    return false;
-  }
-  return static_cast<double>(last_iters_) >
-         ratio * static_cast<double>(std::max(baseline_iters_, 1));
 }
 
 }  // namespace exw::amg

@@ -18,10 +18,9 @@
 /// (PAPERS.md) applied to our §4 pressure solve.
 ///
 /// What is frozen vs refilled per level is documented in DESIGN.md §12,
-/// together with the update rule HierarchyCache::update applies: reuse
-/// the hierarchy untouched while the fine values are bitwise unchanged,
-/// otherwise rebuild or refresh under the drift policy (refresh lag,
-/// stagnation rebuilds).
+/// together with the update rule HierarchyCache::update applies: rebuild
+/// on a stale key, reuse the hierarchy untouched while the fine values are
+/// bitwise unchanged, refresh it in place otherwise.
 
 #include <cstdint>
 #include <memory>
@@ -73,20 +72,14 @@ void replay_level(par::Runtime& rt, LevelReplay& lr,
 enum class CacheAction { kReuse, kRefresh, kRebuild };
 
 /// Pressure-preconditioner cache: one AmgHierarchy kept across Picard
-/// solves, keyed on (equation-graph generation, AmgConfig), with reuse /
-/// refresh / rebuild bookkeeping for the drift policy and the solver
-/// stats.
+/// solves, keyed on (equation-graph generation, AmgConfig). update() says
+/// which of reuse / refresh / rebuild it did, so the caller can count them.
 class HierarchyCache {
  public:
   bool valid() const { return valid_; }
   std::uint64_t generation() const { return generation_; }
   const AmgConfig& config() const { return cfg_; }
   AmgHierarchy& hierarchy() { return *hierarchy_; }
-
-  long rebuilds() const { return rebuilds_; }
-  long refreshes() const { return refreshes_; }
-  long reuses() const { return reuses_; }
-  int solves_since_rebuild() const { return solves_since_rebuild_; }
 
   /// True when the key no longer matches (invalid cache, new graph
   /// generation, or changed AMG configuration).
@@ -99,13 +92,12 @@ class HierarchyCache {
   ///   * values bitwise equal to the last rebuild/refresh (matches) ->
   ///     reuse, touching nothing — a rebuild or refresh from identical
   ///     values would reproduce the same hierarchy bitwise;
-  ///   * drift policy: `rebuild_lag` solves ran since the last rebuild,
-  ///     or stagnating(`stagnation_ratio`) -> rebuild;
   ///   * otherwise -> value-only refresh.
-  /// Rebuilds always freeze, so later solves can refresh.
+  /// Rebuilds always freeze, so later solves can refresh. A new graph
+  /// generation forces a rebuild, so a hierarchy refreshes at most until
+  /// the next graph change.
   CacheAction update(const linalg::ParCsr& a, const AmgConfig& cfg,
-                     std::uint64_t generation, int rebuild_lag,
-                     double stagnation_ratio);
+                     std::uint64_t generation);
 
   /// Structural rebuild from `a`. `freeze` additionally records the
   /// replay plans so later solves can refresh() instead, and snapshots
@@ -123,29 +115,11 @@ class HierarchyCache {
   /// branch; allocation-free. Does not check the key (see stale()).
   bool matches(const linalg::ParCsr& a);
 
-  void invalidate() { valid_ = false; }
-
-  /// Record one preconditioned solve against the current hierarchy. The
-  /// first solve after a rebuild sets the iteration baseline the
-  /// stagnation policy compares against.
-  void note_solve(int iterations);
-
-  /// True when the last solve's iterations drifted `ratio`x above the
-  /// post-rebuild baseline — the preconditioner has gone stale enough
-  /// that the drift policy should force a rebuild.
-  bool stagnating(double ratio) const;
-
  private:
   std::unique_ptr<AmgHierarchy> hierarchy_;
   AmgConfig cfg_;
   std::uint64_t generation_ = 0;
   bool valid_ = false;
-  long rebuilds_ = 0;
-  long refreshes_ = 0;
-  long reuses_ = 0;
-  int solves_since_rebuild_ = 0;
-  int baseline_iters_ = -1;
-  int last_iters_ = -1;
   /// Per-rank [diag | offd] FP64 values of the last rebuild/refresh; sized
   /// by a freezing rebuild, empty otherwise (matches() is then false).
   std::vector<RealVector> snapshot_;

@@ -22,8 +22,6 @@ enum class InterpType : std::uint8_t {
 
 /// Smoothers of §4.2.
 enum class SmootherType : std::uint8_t {
-  kJacobi,      ///< diagonally-scaled Richardson
-  kL1Jacobi,    ///< l1-scaled Jacobi (always convergent)
   kHybridGs,    ///< process-local true Gauss-Seidel, Jacobi across ranks
   kTwoStageGs,  ///< two-stage GS: inner Jacobi-Richardson sweeps (Eqs. 5-7)
   kSgs2,        ///< two-stage *symmetric* GS, compact form (Eqs. 11-14)
@@ -33,17 +31,12 @@ struct AmgConfig {
   Real strong_threshold = 0.25;  ///< SoC threshold theta
   int agg_levels = 2;   ///< aggressive (two-stage) coarsening on first N levels
   InterpType interp = InterpType::kMmExt;
-  int pmax = 4;                ///< max interpolation entries per row
-  Real trunc_factor = 0.0;     ///< drop |w| < trunc * max|w| before pmax
+  int pmax = 4;  ///< max interpolation entries per row (0: keep all)
   int max_levels = 20;
   GlobalIndex max_coarse_size{64};  ///< direct-solve threshold
   SmootherType smoother = SmootherType::kTwoStageGs;
-  int pre_sweeps = 1;
-  int post_sweeps = 1;
   int inner_sweeps = 1;  ///< Jacobi-Richardson inner iterations (two-stage GS)
-  Real jacobi_weight = 0.8;
   sparse::SpGemmAlgo spgemm = sparse::SpGemmAlgo::kHash;
-  std::uint64_t pmis_seed = 42;
   /// Storage precision of the hierarchy's operators, transfers, and work
   /// vectors (DESIGN.md §16). kF32 runs the whole V-cycle — smoother
   /// streams, halo payloads, transfer wires — through FP32 storage with

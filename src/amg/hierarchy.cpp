@@ -18,6 +18,11 @@ namespace exw::amg {
 
 namespace {
 
+/// Seed of the PMIS random weights; each coarsening round hashes it on.
+constexpr std::uint64_t kPmisSeed = 42;
+/// Pre- and post-smoothing sweeps per V-cycle level.
+constexpr int kCycleSweeps = 1;
+
 /// One coarsening round: S -> PMIS -> P. Returns false if coarsening
 /// stalled (no F points / empty coarse grid).
 bool coarsen_once(const linalg::ParCsr& a, const AmgConfig& cfg,
@@ -48,7 +53,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
   levels_.emplace_back();
   levels_.back().a = a;
 
-  std::uint64_t seed = cfg_.pmis_seed;
+  std::uint64_t seed = kPmisSeed;
   while (checked_narrow<int>(levels_.size()) < cfg_.max_levels &&
          levels_.back().a.global_rows() > cfg_.max_coarse_size) {
     AmgLevel& lvl = levels_.back();
@@ -77,7 +82,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
       seed = hash64(seed + 2);
       if (coarsen_once(a1, cfg_, seed, p2, n2)) {
         p1 = par_matmat(p1, p2, cfg_.spgemm);
-        truncate_interpolation(p1, cfg_.pmax, cfg_.trunc_factor);
+        truncate_interpolation(p1, cfg_.pmax);
         a1 = galerkin_rap(lvl.a, p1, cfg_.spgemm, rec);
       }
     }
@@ -109,8 +114,7 @@ void AmgHierarchy::setup(const linalg::ParCsr& a) {
   // Smoothers + work vectors per level; dense LU on the coarsest.
   for (auto& lvl : levels_) {
     lvl.smoother = std::make_unique<Smoother>(lvl.a, cfg_.smoother,
-                                              cfg_.inner_sweeps,
-                                              cfg_.jacobi_weight);
+                                              cfg_.inner_sweeps);
     lvl.x = std::make_unique<linalg::ParVector>(rt, lvl.a.rows());
     lvl.b = std::make_unique<linalg::ParVector>(rt, lvl.a.rows());
     lvl.r = std::make_unique<linalg::ParVector>(rt, lvl.a.rows());
@@ -190,7 +194,7 @@ void AmgHierarchy::cycle_level(std::size_t l, const linalg::ParVector& b,
   }
   AmgLevel& next = levels_[l + 1];
 
-  lvl.smoother->apply(b, x, cfg_.pre_sweeps);
+  lvl.smoother->apply(b, x, kCycleSweeps);
   lvl.a.residual(b, x, *lvl.r);
   // Restrict with R = P^T.
   lvl.p.matvec_transpose(*lvl.r, *next.b);
@@ -199,7 +203,7 @@ void AmgHierarchy::cycle_level(std::size_t l, const linalg::ParVector& b,
   // Prolong and correct.
   lvl.p.matvec(*next.x, *lvl.r);
   x.axpy(1.0, *lvl.r);
-  lvl.smoother->apply(b, x, cfg_.post_sweeps);
+  lvl.smoother->apply(b, x, kCycleSweeps);
 }
 
 void AmgHierarchy::coarse_solve(const linalg::ParVector& b,

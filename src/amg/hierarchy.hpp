@@ -58,8 +58,9 @@ class AmgHierarchy {
   /// re-split. No graph traversal, no hashing, no steady-state
   /// allocation; bitwise-identical to rebuilding against the frozen
   /// coarsening. The coarse direct solver keeps its factorization — the
-  /// O(n^3) charge is rebuild-only; the resulting (slight, bounded)
-  /// coarse-solve lag is governed by the drift policy in cfd::SimConfig.
+  /// O(n^3) charge is rebuild-only; the resulting (slight) coarse-solve
+  /// lag lasts until the next rebuild, which a new graph generation
+  /// forces (amg/cache.hpp).
   /// Throws exw::Error if the hierarchy is not frozen or the structure
   /// changed.
   void refresh_values(const linalg::ParCsr& a);

@@ -1,7 +1,6 @@
 #include "amg/smoothers.hpp"
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 
 #include "common/error.hpp"
@@ -10,54 +9,37 @@
 namespace exw::amg {
 
 LduSplit LduSplit::build(const linalg::ParCsr& a) {
+  // Lay out the L/U structure here; refresh_values fills every value.
   LduSplit out;
-  const Precision pr = a.value_precision();
-  const int nranks = a.nranks();
-  out.lower.resize(static_cast<std::size_t>(nranks));
-  out.upper.resize(static_cast<std::size_t>(nranks));
-  out.dinv.resize(static_cast<std::size_t>(nranks));
-  out.l1_dinv.resize(static_cast<std::size_t>(nranks));
+  const auto nranks = static_cast<std::size_t>(a.nranks());
+  out.lower.resize(nranks);
+  out.upper.resize(nranks);
+  out.dinv.resize(nranks);
   a.runtime().parallel_for_ranks([&](RankId r) {
     const auto& b = a.block(r);
     const LocalIndex n = b.diag.nrows();
     sparse::Csr lo(n, n), up(n, n);
-    auto& dinv = out.dinv[static_cast<std::size_t>(r)];
-    auto& l1 = out.l1_dinv[static_cast<std::size_t>(r)];
-    dinv.assign(static_cast<std::size_t>(n), 0.0);
-    l1.assign(static_cast<std::size_t>(n), 0.0);
     for (LocalIndex i{0}; i < n; ++i) {
-      Real d = 0, off_rank_l1 = 0;
       for (EntryOffset k = b.diag.row_begin(i); k < b.diag.row_end(i); ++k) {
         const LocalIndex c = b.diag.cols()[k];
-        const Real v = b.diag.vals()[k];
         if (c < i) {
           lo.cols_vec().push_back(c);
-          lo.vals_vec().push_back(v);
         } else if (c > i) {
           up.cols_vec().push_back(c);
-          up.vals_vec().push_back(v);
-        } else {
-          d = v;
         }
-      }
-      for (EntryOffset k = b.offd.row_begin(i); k < b.offd.row_end(i); ++k) {
-        off_rank_l1 += std::abs(b.offd.vals()[k]);
       }
       lo.row_ptr_mut()[static_cast<std::size_t>(i) + 1] =
           EntryOffset{lo.cols_vec().size()};
       up.row_ptr_mut()[static_cast<std::size_t>(i) + 1] =
           EntryOffset{up.cols_vec().size()};
-      EXW_REQUIRE(d != 0.0, "zero diagonal in smoother setup");
-      // The split shares the matrix's storage plane: an FP32 operator
-      // gets FP32-rounded reciprocals (L/U values are copies of already
-      // rounded entries, so only the divisions need the store round).
-      dinv[static_cast<std::size_t>(i)] = store_value(1.0 / d, pr);
-      l1[static_cast<std::size_t>(i)] =
-          store_value(1.0 / (d + off_rank_l1), pr);
     }
+    lo.vals_vec().resize(lo.cols_vec().size());
+    up.vals_vec().resize(up.cols_vec().size());
     out.lower[static_cast<std::size_t>(r)] = std::move(lo);
     out.upper[static_cast<std::size_t>(r)] = std::move(up);
+    out.dinv[static_cast<std::size_t>(r)].resize(static_cast<std::size_t>(n));
   });
+  out.refresh_values(a);
   return out;
 }
 
@@ -70,14 +52,13 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
     auto& lo = lower[static_cast<std::size_t>(r)];
     auto& up = upper[static_cast<std::size_t>(r)];
     auto& di = dinv[static_cast<std::size_t>(r)];
-    auto& l1 = l1_dinv[static_cast<std::size_t>(r)];
     EXW_REQUIRE(di.size() == static_cast<std::size_t>(n),
                 "smoother refresh: matrix structure changed");
     auto& lo_vals = lo.vals_vec();
     auto& up_vals = up.vals_vec();
     std::size_t lo_k = 0, up_k = 0;
     for (LocalIndex i{0}; i < n; ++i) {
-      Real d = 0, off_rank_l1 = 0;
+      Real d = 0;
       for (EntryOffset k = b.diag.row_begin(i); k < b.diag.row_end(i); ++k) {
         const LocalIndex c = b.diag.cols()[k];
         const Real v = b.diag.vals()[k];
@@ -89,13 +70,11 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
           d = v;
         }
       }
-      for (EntryOffset k = b.offd.row_begin(i); k < b.offd.row_end(i); ++k) {
-        off_rank_l1 += std::abs(b.offd.vals()[k]);
-      }
-      EXW_REQUIRE(d != 0.0, "zero diagonal in smoother refresh");
+      EXW_REQUIRE(d != 0.0, "zero diagonal in the smoother split");
+      // The split shares the matrix's storage plane: an FP32 operator
+      // gets FP32-rounded reciprocals (L/U values are copies of already
+      // rounded entries, so only the division needs the store round).
       di[static_cast<std::size_t>(i)] = store_value(1.0 / d, pr);
-      l1[static_cast<std::size_t>(i)] =
-          store_value(1.0 / (d + off_rank_l1), pr);
     }
     EXW_REQUIRE(lo_k == lo.nnz() && up_k == up.nnz(),
                 "smoother refresh: triangular structure changed");
@@ -103,8 +82,8 @@ void LduSplit::refresh_values(const linalg::ParCsr& a) {
 }
 
 Smoother::Smoother(const linalg::ParCsr& a, SmootherType type,
-                   int inner_sweeps, Real jacobi_weight)
-    : a_(&a), type_(type), inner_sweeps_(inner_sweeps), weight_(jacobi_weight),
+                   int inner_sweeps)
+    : a_(&a), type_(type), inner_sweeps_(inner_sweeps),
       ldu_(LduSplit::build(a)) {}
 
 EXW_WARM_FN
@@ -118,8 +97,6 @@ void Smoother::apply(const linalg::ParVector& b, linalg::ParVector& x,
   EXW_REQUIRE(b.ncomp() == x.ncomp(), "smoother lane count mismatch");
   for (std::int64_t s = 0; s < sweeps; ++s) {
     switch (type_) {
-      case SmootherType::kJacobi: sweep_jacobi(b, x, false); break;
-      case SmootherType::kL1Jacobi: sweep_jacobi(b, x, true); break;
       case SmootherType::kHybridGs: sweep_hybrid_gs(b, x); break;
       case SmootherType::kTwoStageGs: sweep_two_stage(b, x); break;
       case SmootherType::kSgs2: sweep_sgs2(b, x); break;
@@ -131,37 +108,6 @@ void Smoother::apply_zero(const linalg::ParVector& r, linalg::ParVector& z,
                           int sweeps) const {
   z.fill(0.0);
   apply(r, z, sweeps);
-}
-
-void Smoother::sweep_jacobi(const linalg::ParVector& b, linalg::ParVector& x,
-                            bool l1) const {
-  // Lane c: x_c += w * Dinv * (b_c - A x_c). The update arithmetic is
-  // FP64; stores into x round through the smoother's storage plane (the
-  // matrix precision).
-  const Precision pr = a_->value_precision();
-  linalg::ParVector r(a_->runtime(), a_->rows(), x.ncomp());
-  r.set_value_precision(pr);
-  a_->residual(b, x, r);
-  auto& tracer = a_->runtime().tracer();
-  const auto nl = static_cast<double>(x.ncomp());
-  a_->runtime().parallel_for_ranks([&](RankId rk) {
-    const auto& d = l1 ? ldu_.l1_dinv[static_cast<std::size_t>(rk)]
-                       : ldu_.dinv[static_cast<std::size_t>(rk)];
-    const std::size_t n = d.size();
-    const auto xl = x.local(rk);
-    const auto rl = r.local(rk);
-    for (std::size_t c = 0; c < x.ncomp(); ++c) {
-      for (std::size_t i = 0; i < n; ++i) {
-        xl[c * n + i] =
-            store_value(xl[c * n + i] + weight_ * d[i] * rl[c * n + i], pr);
-      }
-    }
-    double f64 = 0, f32 = 0;
-    split_value_bytes(pr, 4.0 * bytes_of(pr) * nl * static_cast<double>(n),
-                      f64, f32);
-    tracer.kernel_split_prec(rk, 3.0 * nl * static_cast<double>(n), f64, f32,
-                             0.0);
-  });
 }
 
 void Smoother::sweep_hybrid_gs(const linalg::ParVector& b,

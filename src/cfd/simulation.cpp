@@ -17,6 +17,10 @@ namespace {
 
 using mesh::NodeRole;
 
+/// Outer SGS2 sweeps of the momentum/scalar preconditioner: "two outer
+/// and two inner iterations" (paper §4.2).
+constexpr int kSgsOuterSweeps = 2;
+
 /// Per-rank element/node counts for charging the physics and local
 /// assembly kernels.
 struct RankCounts {
@@ -108,7 +112,7 @@ solver::SmootherPrecond& Simulation::momentum_smoother(MeshBlock& blk,
   MeshBlock::SmootherSlot& slot = blk.mom_smoother;
   if (!slot.precond || slot.epoch != blk.mom_cache.structure_epoch) {
     slot.precond = std::make_unique<solver::SmootherPrecond>(
-        blk.mom_cache.matrix, amg::SmootherType::kSgs2, cfg_.sgs_outer_sweeps,
+        blk.mom_cache.matrix, amg::SmootherType::kSgs2, kSgsOuterSweeps,
         cfg_.sgs_inner_sweeps, cfg_.precond_precision);
     slot.epoch = blk.mom_cache.structure_epoch;
     stats.smoother_rebuilds += 1;
@@ -504,8 +508,8 @@ void Simulation::solve_continuity(MeshBlock& blk) {
   }
 
   // Preconditioner: with the hierarchy cache off, structural AMG setup
-  // every solve; otherwise the cache reuses the hierarchy while the values
-  // are unchanged and rebuilds or refreshes it under the drift policy
+  // every solve; otherwise the cache rebuilds on a new graph, reuses the
+  // hierarchy while the values are unchanged and refreshes it in place
   // once they change (amg/cache.hpp).
   amg::HierarchyCache& pc = blk.prs_precond;
   {
@@ -519,8 +523,7 @@ void Simulation::solve_continuity(MeshBlock& blk) {
       pc.rebuild(a, acfg, gen, /*freeze=*/false);
       prs_stats_.amg_rebuilds += 1;
     } else {
-      switch (pc.update(a, acfg, gen, cfg_.amg_rebuild_lag,
-                        cfg_.amg_stagnation_ratio)) {
+      switch (pc.update(a, acfg, gen)) {
         case amg::CacheAction::kReuse: prs_stats_.amg_reuses += 1; break;
         case amg::CacheAction::kRefresh: prs_stats_.amg_refreshes += 1; break;
         case amg::CacheAction::kRebuild: prs_stats_.amg_rebuilds += 1; break;
@@ -538,7 +541,6 @@ void Simulation::solve_continuity(MeshBlock& blk) {
     perf::PhaseScope ph(tracer, "solve");
     st = solver::gmres_solve(a, rhs, x, precond, cfg_.pressure_gmres);
   }
-  pc.note_solve(st.iterations);
   prs_stats_.gmres_iterations += st.iterations;
   prs_stats_.solves += 1;
   prs_stats_.final_residual = st.final_residual;

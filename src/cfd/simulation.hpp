@@ -128,8 +128,8 @@ class Simulation {
       std::uint64_t epoch = 0;
     };
     SmootherSlot mom_smoother;
-    /// Pressure AMG hierarchy kept across Picard solves; the drift policy
-    /// in solve_continuity decides rebuild vs value-only refresh.
+    /// Pressure AMG hierarchy kept across Picard solves; solve_continuity
+    /// reuses, refreshes or rebuilds it (amg::HierarchyCache::update).
     amg::HierarchyCache prs_precond;
     // Nodal fields (indexed by mesh node id).
     RealVector u, v, w, p, scl;

@@ -39,7 +39,6 @@ struct GmresOptions {
   int max_iters = 200;
   int restart = 60;
   Real rel_tol = 1e-6;
-  Real abs_tol = 0.0;
   OrthoMethod ortho = OrthoMethod::kOneReduce;
 };
 

@@ -3,6 +3,8 @@
 // hierarchy construction, and V-cycle convergence.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "amg/coarsen.hpp"
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
@@ -218,7 +220,7 @@ TEST(Interp, TruncationRespectsPmaxAndRowSum) {
   auto p = build_interpolation(a, s, c, cfg);
   // Record row sums before truncation.
   const auto before = p.to_serial();
-  truncate_interpolation(p, 3, 0.0);
+  truncate_interpolation(p, 3);
   const auto after = p.to_serial();
   for (LocalIndex i{0}; i < after.nrows(); ++i) {
     EXPECT_LE(after.row_nnz(i), LocalIndex{3});
@@ -232,6 +234,35 @@ TEST(Interp, TruncationRespectsPmaxAndRowSum) {
     if (before.row_nnz(i) > LocalIndex{0}) {
       EXPECT_NEAR(sa, sb, 1e-9 * std::max<Real>(1.0, std::abs(sb)));
     }
+  }
+}
+
+TEST(Interp, TruncationWithZeroPmaxIsANoOp) {
+  // baseline() runs pmax = 0: P must come back bitwise untouched, and the
+  // call must charge no kernel.
+  par::Runtime rt(2);
+  const auto a = distribute(rt, laplace3d(8));
+  const Strength s = compute_strength(a, 0.1);
+  const Coarsening c = pmis(a, s, 13);
+  AmgConfig cfg;
+  cfg.interp = InterpType::kMmExt;
+  cfg.pmax = 0;
+  auto p = build_interpolation(a, s, c, cfg);
+  const auto before = p.to_serial();
+  {
+    perf::PhaseScope ph(rt.tracer(), "truncate");
+    truncate_interpolation(p, 0);
+  }
+  EXPECT_EQ(rt.tracer().phase("truncate").total_kernels(), 0);
+  const auto after = p.to_serial();
+  ASSERT_EQ(after.nnz(), before.nnz());
+  for (LocalIndex i{0}; i < after.nrows(); ++i) {
+    ASSERT_EQ(after.row_begin(i), before.row_begin(i));
+  }
+  for (EntryOffset k{0}; k < EntryOffset{after.nnz()}; ++k) {
+    EXPECT_EQ(after.cols()[k], before.cols()[k]);
+    EXPECT_EQ(std::memcmp(&after.vals()[k], &before.vals()[k], sizeof(Real)),
+              0);
   }
 }
 

@@ -160,9 +160,8 @@ TEST_P(FusedRankSweep, SmootherMatchesPerComponentBitwise) {
   const auto bd = lane_data(180, 13);
 
   for (const auto type :
-       {amg::SmootherType::kJacobi, amg::SmootherType::kL1Jacobi,
-        amg::SmootherType::kSgs2, amg::SmootherType::kTwoStageGs}) {
-    const amg::Smoother sm(a, type, /*inner_sweeps=*/2, /*jacobi_weight=*/0.8);
+       {amg::SmootherType::kSgs2, amg::SmootherType::kTwoStageGs}) {
+    const amg::Smoother sm(a, type, /*inner_sweeps=*/2);
     linalg::ParVector b(rt, a.rows(), kLanes), z(rt, a.rows(), kLanes);
     fill_lanes(b, bd);
     sm.apply_zero(b, z, /*sweeps=*/2);
@@ -192,8 +191,7 @@ TEST_P(FusedRankSweep, GaussSeidelLanesAreIndependent) {
       SCOPED_TRACE(::testing::Message()
                    << "type " << static_cast<int>(type) << ", fp"
                    << (prec == Precision::kF32 ? 32 : 64));
-      const amg::Smoother sm(a, type, /*inner_sweeps=*/2,
-                             /*jacobi_weight=*/1.0);
+      const amg::Smoother sm(a, type, /*inner_sweeps=*/2);
       linalg::ParVector b(rt, a.rows(), kLanes), x(rt, a.rows(), kLanes);
       x.set_value_precision(prec);
       fill_lanes(b, bd);

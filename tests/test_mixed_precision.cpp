@@ -151,7 +151,7 @@ TEST(MixedVcycle, RefreshMatchesColdRebuildBitwise) {
   amg::AmgHierarchy cold(a, cfg);
 
   // The refreshed coarse direct solver deliberately keeps its stale
-  // factorization (drift policy owns that lag), so the pin is on the
+  // factorization until the next rebuild, so the pin is on the
   // value plane: every level's refreshed operator must act bitwise like
   // the cold rebuild's — the FP64-chain replay demoted at the end
   // reproduces the cold Galerkin chain exactly.
