@@ -1,14 +1,17 @@
 #include "par/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "par/contract.hpp"
 #include "perf/purity.hpp"
 
@@ -23,14 +26,25 @@ int configured_threads() {
   // Read once, before any worker exists, so the mt-unsafe getenv is safe.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* s = std::getenv("EXW_NUM_THREADS")) {
-    const int n = std::atoi(s);
-    if (n >= 1) return n;
+    return parse_num_threads(s);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? checked_narrow<int>(hw) : 1;
 }
 
 }  // namespace
+
+int parse_num_threads(std::string_view value) {
+  int n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n < 1 || n > kMaxThreads) {
+    EXW_THROW("EXW_NUM_THREADS='" + std::string(value) +
+              "' is not a whole number in [1, " +
+              std::to_string(kMaxThreads) + "]");
+  }
+  return n;
+}
 
 struct ThreadPool::Impl {
   std::vector<std::thread> workers;

@@ -30,11 +30,14 @@
 /// compile away when EXW_CHECKS=OFF.
 ///
 /// Sizing: EXW_NUM_THREADS if set, else std::thread::hardware_concurrency.
+/// EXW_NUM_THREADS must be a whole decimal number in [1, kMaxThreads];
+/// anything else throws exw::Error when the pool is first used.
 /// EXW_NUM_THREADS=1 (or set_serial_mode(true), the benches' --serial
 /// flag) runs every region inline for determinism debugging; the parallel
 /// path is bitwise-identical anyway because each rank body is unchanged
 /// and all reductions happen on the orchestrator.
 
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -93,6 +96,14 @@ class ThreadPool {
   Impl* impl_;
   int num_threads_ = 1;
 };
+
+/// Largest pool size EXW_NUM_THREADS may ask for.
+inline constexpr int kMaxThreads = 1024;
+
+/// Parse an EXW_NUM_THREADS value: a whole decimal number in
+/// [1, kMaxThreads], with nothing before or after it. Throws exw::Error
+/// naming the variable and the value otherwise.
+int parse_num_threads(std::string_view value);
 
 /// True while the calling thread is executing a parallel_for body.
 bool in_parallel_region();

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -393,6 +394,26 @@ TEST(ThreadPool, SerialModeForcesInlineExecution) {
   }
 }
 
+TEST(ThreadPool, ThreadCountParsingAcceptsOnlyWholeNumbersInRange) {
+  // Parsed without building a pool, so no bad or huge value ever spawns
+  // threads.
+  EXPECT_EQ(par::parse_num_threads("1"), 1);
+  EXPECT_EQ(par::parse_num_threads("8"), 8);
+  EXPECT_EQ(par::parse_num_threads("1024"), par::kMaxThreads);
+  for (const char* bad : {"0", "-2", "abc", "4x", " 4", "4 ", "+4", "", "1.5",
+                          "1025", "99999999999999999999"}) {
+    try {
+      par::parse_num_threads(bad);
+      ADD_FAILURE() << "accepted EXW_NUM_THREADS='" << bad << "'";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("EXW_NUM_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(ThreadPool, EnvironmentSizesThePoolAndNeverForcesSerial) {
   // EXW_NUM_THREADS is the pool's only environment knob: it sets the
   // size, and no variable switches the pool off (only set_serial_mode
@@ -400,7 +421,7 @@ TEST(ThreadPool, EnvironmentSizesThePoolAndNeverForcesSerial) {
   const int threads = par::ThreadPool::instance().num_threads();
   ASSERT_FALSE(par::serial_mode());
   if (const char* s = std::getenv("EXW_NUM_THREADS")) {
-    EXPECT_EQ(threads, std::atoi(s));
+    EXPECT_EQ(threads, par::parse_num_threads(s));
   }
   // One body per pool thread, each held until all have started: only a
   // pool that really runs them concurrently gets every body in.
